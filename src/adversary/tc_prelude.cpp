@@ -58,18 +58,14 @@ void TcPreludeAdversary::act(net::RoundControl& ctl) {
             for (NodeId v = 0; v < n && echo_targets_.size() < quorum - 1; ++v)
                 if (ctl.is_honest(v)) echo_targets_.push_back(v);
         }
-        std::vector<bool> is_target(n, false);
-        for (NodeId v : echo_targets_) is_target[v] = true;
-
-        for (NodeId b : corrupted_) {
-            for (NodeId to = 0; to < n; ++to) {
-                net::Message m;
-                m.kind = net::MsgKind::TCValue;
-                m.word = (split_armed_ && is_target[to]) ? plurality_
-                                                         : 0x5A5A0000u + to;
-                ctl.deliver_as(b, to, m);
-            }
-        }
+        // Every corrupted node sends the same per-receiver words: the
+        // plurality word to the targets, a receiver-unique decoy elsewhere.
+        net::Message m;
+        m.kind = net::MsgKind::TCValue;
+        cells_.assign(n, m);
+        for (NodeId to = 0; to < n; ++to) cells_[to].word = 0x5A5A0000u + to;
+        for (NodeId v : echo_targets_) cells_[v].word = plurality_;
+        ctl.deliver_rows_as(corrupted_, cells_);
         return;
     }
 
@@ -77,20 +73,22 @@ void TcPreludeAdversary::act(net::RoundControl& ctl) {
         // The quorum-1 honest echoers broadcast the plurality word to all.
         // Forge additional echoes toward every OTHER honest receiver so the
         // binary inputs split roughly in half.
-        bool push = true;
-        for (NodeId b : corrupted_) {
-            for (NodeId to = 0; to < n; ++to) {
-                net::Message m;
-                m.kind = net::MsgKind::TCEcho;
-                m.word = plurality_;
-                if (split_armed_) {
-                    m.flag = (to % 2 == 0) ? 1 : 0;  // alternate: half pushed
-                } else {
-                    m.flag = push ? 1 : 0;
-                }
-                ctl.deliver_as(b, to, m);
+        net::Message m;
+        m.kind = net::MsgKind::TCEcho;
+        m.word = plurality_;
+        if (split_armed_) {
+            // Alternate receivers: half pushed, by every corrupted node.
+            cells_.assign(n, m);
+            for (NodeId to = 0; to < n; to += 2) cells_[to].flag = 1;
+            ctl.deliver_rows_as(corrupted_, cells_);
+        } else {
+            // Unarmed: senders alternate pushing, each to all receivers.
+            bool push = true;
+            for (NodeId b : corrupted_) {
+                m.flag = push ? 1 : 0;
+                ctl.broadcast_as(b, m);
+                push = !push;
             }
-            push = !push;
         }
         return;
     }

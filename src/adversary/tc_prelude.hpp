@@ -32,6 +32,7 @@ private:
     Count budget_ = 0;  ///< engine budget t (fixes the n-t quorum)
     std::vector<NodeId> corrupted_;
     std::vector<NodeId> echo_targets_;  ///< receivers pushed over the quorum
+    std::vector<net::Message> cells_;   ///< per-receiver forgeries (scratch)
     net::Word plurality_ = 0;  ///< honest plurality word observed in round 0
     bool split_armed_ = false;
 };

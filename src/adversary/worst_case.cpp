@@ -85,18 +85,28 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
     // ---- observe (full information + rushing) ----
     Count d = 0;
     Bit b_i = 0;
-    std::vector<NodeId> decided_out, decided_in;  // decided honest, by membership
+    // Decided honest nodes, committee members last: victims outside the
+    // committee leave the flip sum untouched, while committee victims both
+    // lose their flip and join the equivocator pool.
+    victims_.clear();
+    decided_in_.clear();
     for (NodeId v = 0; v < n; ++v) {
         if (!ctl.is_honest(v) || ctl.is_halted(v)) continue;
         if (ctl.current_decided(v)) {
             ++d;
             b_i = ctl.current_value(v);
-            (in_committee(v) ? decided_in : decided_out).push_back(v);
+            (in_committee(v) ? decided_in_ : victims_).push_back(v);
         }
     }
+    victims_.insert(victims_.end(), decided_in_.begin(), decided_in_.end());
 
+    // Honest committee flippers by sign. The plan below edits these lists
+    // in place; nothing reads the observed lists afterwards.
     std::int64_t sum = 0;
-    std::vector<NodeId> pos, neg;  // honest committee flippers by sign
+    std::vector<NodeId>& plan_pos = pos_;
+    std::vector<NodeId>& plan_neg = neg_;
+    plan_pos.clear();
+    plan_neg.clear();
     Count m_byz = 0;
     for (NodeId u = first; u < last; ++u) {
         if (!ctl.is_honest(u)) {
@@ -108,26 +118,21 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
         if (!m || m->kind != net::MsgKind::Vote2 || m->coin == 0) continue;
         if (m->coin > 0) {
             ++sum;
-            pos.push_back(u);
+            plan_pos.push_back(u);
         } else {
             --sum;
-            neg.push_back(u);
+            plan_neg.push_back(u);
         }
     }
 
     // ---- plan: decided reduction ----
     const Count need_reduce = d > cfg_.t ? d - cfg_.t : 0;
-    // Victims outside the committee leave the flip sum untouched; committee
-    // victims both lose their flip and join the equivocator pool.
-    std::vector<NodeId> victims(decided_out.begin(), decided_out.end());
-    victims.insert(victims.end(), decided_in.begin(), decided_in.end());
-    if (need_reduce > victims.size()) return;  // cannot even see all decided (impossible)
-    victims.resize(need_reduce);
+    if (need_reduce > victims_.size()) return;  // cannot even see all decided (impossible)
+    victims_.resize(need_reduce);
 
     std::int64_t plan_sum = sum;
     std::int64_t plan_m = m_byz;
-    auto plan_pos = pos, plan_neg = neg;
-    for (NodeId v : victims) {
+    for (NodeId v : victims_) {
         if (!in_committee(v)) continue;
         ++plan_m;
         // Remove the victim's flip from the plan.
@@ -197,7 +202,7 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
     if (total > remaining(ctl)) return;  // unaffordable: spend nothing
 
     // ---- execute ----
-    for (NodeId v : victims) corrupt_tracked(ctl, v);
+    for (NodeId v : victims_) corrupt_tracked(ctl, v);
     {
         // Replicate the planning greedy exactly, corrupting for real.
         std::int64_t s = plan_sum;
@@ -223,42 +228,32 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
     ++ruined_;
 
     // ---- deliveries from every Byzantine committee member ----
-    std::vector<NodeId> byz_members;
+    byz_members_.clear();
     for (NodeId u = first; u < last; ++u)
-        if (!ctl.is_honest(u)) byz_members.push_back(u);
-    if (byz_members.empty()) return;  // natural ruin, nothing to push
+        if (!ctl.is_honest(u)) byz_members_.push_back(u);
+    if (byz_members_.empty()) return;  // natural ruin, nothing to push
 
+    net::Message m;
+    m.kind = net::MsgKind::Vote2;
+    m.phase = p;
     if (use_split) {
         // Balanced target assignment over live honest receivers so the next
-        // phase's tallies stay far from every threshold.
-        std::vector<Bit> target(n, 0);
-        Bit next = 0;
+        // phase's tallies stay far from every threshold. Every member sends
+        // the same vector, so it goes out as one shared row set.
+        cells_.assign(n, m);
+        bool next = false;
         for (NodeId v = 0; v < n; ++v) {
+            bool up = false;
             if (ctl.is_honest(v) && !ctl.is_halted(v)) {
-                target[v] = next;
-                next = next ? Bit{0} : Bit{1};
+                up = next;
+                next = !next;
             }
+            cells_[v].coin = up ? CoinSign{1} : CoinSign{-1};
         }
-        for (NodeId u : byz_members) {
-            for (NodeId to = 0; to < n; ++to) {
-                net::Message m;
-                m.kind = net::MsgKind::Vote2;
-                m.phase = p;
-                m.val = 0;
-                m.flag = 0;
-                m.coin = target[to] ? CoinSign{1} : CoinSign{-1};
-                ctl.deliver_as(u, to, m);
-            }
-        }
+        ctl.deliver_rows_as(byz_members_, cells_);
     } else {
-        const CoinSign push = b_i == 0 ? CoinSign{1} : CoinSign{-1};
-        net::Message m;
-        m.kind = net::MsgKind::Vote2;
-        m.phase = p;
-        m.val = 0;
-        m.flag = 0;
-        m.coin = push;
-        for (NodeId u : byz_members) ctl.broadcast_as(u, m);
+        m.coin = b_i == 0 ? CoinSign{1} : CoinSign{-1};
+        for (NodeId u : byz_members_) ctl.broadcast_as(u, m);
     }
 }
 

@@ -73,6 +73,10 @@ private:
     WorstCaseConfig cfg_;
     Count used_ = 0;
     Count ruined_ = 0;
+    // act_round2 scratch, reused across rounds so a warm adversary
+    // allocates nothing per round.
+    std::vector<NodeId> victims_, decided_in_, pos_, neg_, byz_members_;
+    std::vector<net::Message> cells_;  ///< the SPLIT ruin's per-receiver coins
 };
 
 }  // namespace adba::adv

@@ -162,7 +162,8 @@ void SkeletonBatch::receive_prepare(Round r, const net::RoundBuffer&,
 }
 
 void SkeletonBatch::receive_range(Round r, const net::RoundBuffer& buf,
-                                  const net::RoundTally& tally, NodeId lo, NodeId hi) {
+                                  const net::RoundTally& /*tally*/, NodeId lo,
+                                  NodeId hi) {
     const Phase p = r / 2;
     const std::uint8_t* state = buf.state_plane();
     const auto skip = [&](NodeId v) {

@@ -40,6 +40,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/batch.hpp"
@@ -92,6 +93,20 @@ public:
     virtual std::optional<Message> corrupt(NodeId v) = 0;
     /// Delivers m from Byzantine node `byz_from` to `to` this round.
     virtual void deliver_as(NodeId byz_from, NodeId to, const Message& m) = 0;
+    /// Delivers cells[to] from every Byzantine sender in `byz_from` to each
+    /// receiver `to`; cells.size() must equal n(). The default body below —
+    /// deliver_as for every (sender, receiver) pair, sender-major — is the
+    /// contract: an override must leave the round's deliveries and message
+    /// accounting exactly as that loop would. It exists for the attacks that
+    /// make many senders equivocate with one per-receiver vector; the
+    /// engine's override stores that vector once for all of them, so the
+    /// call costs O(n + |byz_from|) instead of O(|byz_from| * n).
+    virtual void deliver_rows_as(std::span<const NodeId> byz_from,
+                                 std::span<const Message> cells) {
+        ADBA_EXPECTS_MSG(cells.size() == n(), "deliver_rows_as needs one cell per receiver");
+        for (const NodeId u : byz_from)
+            for (NodeId to = 0; to < cells.size(); ++to) deliver_as(u, to, cells[to]);
+    }
     /// Delivers m from `byz_from` to every node. O(1): stored as a pattern
     /// row, not n cell writes.
     void broadcast_as(NodeId byz_from, const Message& m) {

@@ -15,6 +15,7 @@ void RoundBuffer::reset(NodeId n) {
     row_sender_.clear();
     row_mode_.clear();
     row_slot_.clear();
+    slot_refs_.clear();
     rows_in_use_ = 0;
     slots_in_use_ = 0;
 }
@@ -25,6 +26,7 @@ void RoundBuffer::begin_round() {
     row_sender_.clear();
     row_mode_.clear();
     row_slot_.clear();
+    slot_refs_.clear();
     rows_in_use_ = 0;
     slots_in_use_ = 0;
 }
@@ -50,28 +52,49 @@ std::int32_t RoundBuffer::ensure_row(NodeId v) {
     return row;
 }
 
-void RoundBuffer::assign_dense_slot(std::size_t row) {
+std::size_t RoundBuffer::new_slot() {
     const std::size_t slot = slots_in_use_++;
     if ((slot + 1) * n_ > byz_msgs_.size()) {
         byz_msgs_.resize((slot + 1) * n_);
         byz_present_.resize((slot + 1) * n_);
     }
+    slot_refs_.push_back(0);
+    return slot;
+}
+
+void RoundBuffer::assign_dense_slot(std::size_t row) {
+    const std::size_t slot = new_slot();
     row_slot_[row] = static_cast<std::int32_t>(slot);
+    slot_refs_[slot] = 1;
     std::fill_n(byz_present_.begin() + static_cast<std::ptrdiff_t>(slot * n_), n_,
                 std::uint8_t{0});
 }
 
-void RoundBuffer::densify(std::size_t row) {
-    if (row_mode_[row] == kRowDense) return;
-    const RowPattern p = row_pattern_[row];
-    assign_dense_slot(row);
-    const std::size_t base = static_cast<std::size_t>(row_slot_[row]) * n_;
-    for (NodeId to = 0; to < n_; ++to) {
-        const int side = to < p.boundary ? 0 : 1;
-        byz_present_[base + to] = p.present[side];
-        if (p.present[side]) byz_msgs_[base + to] = p.msg[side];
+void RoundBuffer::make_writable(std::size_t row) {
+    if (row_mode_[row] == kRowPattern) {
+        const RowPattern p = row_pattern_[row];
+        assign_dense_slot(row);
+        const std::size_t base = static_cast<std::size_t>(row_slot_[row]) * n_;
+        for (NodeId to = 0; to < n_; ++to) {
+            const int side = to < p.boundary ? 0 : 1;
+            byz_present_[base + to] = p.present[side];
+            if (p.present[side]) byz_msgs_[base + to] = p.msg[side];
+        }
+        row_mode_[row] = kRowDense;
+        return;
     }
-    row_mode_[row] = kRowDense;
+    const std::size_t shared = static_cast<std::size_t>(row_slot_[row]);
+    if (slot_refs_[shared] == 1) return;
+    // Copy-on-write: the row leaves the shared slot with its own copy.
+    // new_slot may reallocate the cell arrays, so offsets, not iterators.
+    const std::size_t own = new_slot();
+    --slot_refs_[shared];
+    slot_refs_[own] = 1;
+    row_slot_[row] = static_cast<std::int32_t>(own);
+    const auto src = static_cast<std::ptrdiff_t>(shared * n_);
+    const auto dst = static_cast<std::ptrdiff_t>(own * n_);
+    std::copy_n(byz_msgs_.begin() + src, n_, byz_msgs_.begin() + dst);
+    std::copy_n(byz_present_.begin() + src, n_, byz_present_.begin() + dst);
 }
 
 bool RoundBuffer::deliver(NodeId byz_from, NodeId to, const Message& m) {
@@ -81,7 +104,7 @@ bool RoundBuffer::deliver(NodeId byz_from, NodeId to, const Message& m) {
     if (prior < 0) {
         assign_dense_slot(row);  // fresh dense row: clear its cells once
     } else {
-        densify(row);
+        make_writable(row);
     }
     const std::size_t off = static_cast<std::size_t>(row_slot_[row]) * n_ + to;
     const bool fresh = byz_present_[off] == 0;
@@ -110,7 +133,7 @@ Count RoundBuffer::apply_pattern(NodeId byz_from, const Message* low,
     }
     // Merge with earlier deliveries from the same sender: materialize and
     // overwrite cellwise, counting newly covered slots.
-    densify(row);
+    make_writable(row);
     const std::size_t base = static_cast<std::size_t>(row_slot_[row]) * n_;
     Count fresh = 0;
     for (NodeId to = 0; to < n_; ++to) {
@@ -119,6 +142,42 @@ Count RoundBuffer::apply_pattern(NodeId byz_from, const Message* low,
         if (byz_present_[base + to] == 0) ++fresh;
         byz_present_[base + to] = 1;
         byz_msgs_[base + to] = *m;
+    }
+    return fresh;
+}
+
+std::uint64_t RoundBuffer::deliver_shared(std::span<const NodeId> byz_from,
+                                          std::span<const Message> cells) {
+    ADBA_EXPECTS(cells.size() == n_);
+    std::uint64_t fresh = 0;
+    std::int32_t shared = -1;  // this call's slot, filled on first use
+    for (const NodeId u : byz_from) {
+        ADBA_EXPECTS(u < n_);
+        const std::int32_t prior = byz_row_of_[u];
+        if (prior >= 0) {
+            // A sender listed twice already points at this call's cells.
+            if (shared >= 0 && row_slot_[prior] == shared) continue;
+            const auto row = static_cast<std::size_t>(prior);
+            make_writable(row);
+            const std::size_t base = static_cast<std::size_t>(row_slot_[row]) * n_;
+            for (NodeId to = 0; to < n_; ++to) {
+                if (byz_present_[base + to] == 0) ++fresh;
+                byz_present_[base + to] = 1;
+                byz_msgs_[base + to] = cells[to];
+            }
+            continue;
+        }
+        if (shared < 0) {
+            const std::size_t slot = new_slot();
+            const auto base = static_cast<std::ptrdiff_t>(slot * n_);
+            std::copy(cells.begin(), cells.end(), byz_msgs_.begin() + base);
+            std::fill_n(byz_present_.begin() + base, n_, std::uint8_t{1});
+            shared = static_cast<std::int32_t>(slot);
+        }
+        const std::size_t row = static_cast<std::size_t>(ensure_row(u));
+        row_slot_[row] = shared;
+        ++slot_refs_[static_cast<std::size_t>(shared)];
+        fresh += n_;
     }
     return fresh;
 }
@@ -311,6 +370,22 @@ const WordHistogram& RoundTally::word_counts(const TallyBucket& b,
     return require_flag ? b.words_flag : b.words;
 }
 
+template <typename Fn>
+void RoundTally::for_each_weighted_slot(NodeId first, NodeId last, Fn&& sweep) const {
+    const std::size_t slots = buf_->slots_in_use();
+    if (slots == 0) return;
+    slot_weight_.assign(slots, 0);
+    for (std::size_t r = 0; r < buf_->rows_in_use(); ++r) {
+        const NodeId u = buf_->row_sender(r);
+        if (u < first || u >= last || buf_->row_mode(r) != RoundBuffer::kRowDense)
+            continue;
+        ++slot_weight_[buf_->row_slot(r)];
+    }
+    for (std::size_t slot = 0; slot < slots; ++slot)
+        if (slot_weight_[slot] != 0)
+            sweep(buf_->slot_messages(slot), buf_->slot_presence(slot), slot_weight_[slot]);
+}
+
 const std::array<Count, 2>* RoundTally::val_delta_plane(MsgKind kind, Phase phase,
                                                         bool require_flag) const {
     const std::size_t rows = buf_->rows_in_use();
@@ -325,7 +400,7 @@ const std::array<Count, 2>* RoundTally::val_delta_plane(MsgKind kind, Phase phas
     // (+1 at the run start, -1 past its end, prefix-summed once at the end)
     // so k pattern rows cost O(n + k), not O(n * k) — with t split-voting
     // Byzantine senders the latter was the dominant large-n term. Dense
-    // rows are probed cellwise after the sweep resolves.
+    // rows are then swept per distinct slot, weighted by its row count.
     if (val_caches_.size() <= val_caches_in_use_)
         val_caches_.resize(val_caches_in_use_ + 1);
     ValCache& vc = val_caches_[val_caches_in_use_++];
@@ -360,13 +435,11 @@ const std::array<Count, 2>* RoundTally::val_delta_plane(MsgKind kind, Phase phas
             vc.delta[v][1] += vc.delta[v - 1][1];
         }
     }
-    for (std::size_t r = 0; r < rows; ++r) {
-        if (buf_->row_mode(r) == RoundBuffer::kRowPattern) continue;
-        for (NodeId v = 0; v < n; ++v) {
-            const Message* m = buf_->row_delivery(r, v);
-            if (m != nullptr && matches(*m)) ++vc.delta[v][m->val & 1];
-        }
-    }
+    for_each_weighted_slot(0, n, [&](const Message* msgs, const std::uint8_t* present,
+                                     Count w) {
+        for (NodeId v = 0; v < n; ++v)
+            if (present[v] != 0 && matches(msgs[v])) vc.delta[v][msgs[v].val & 1] += w;
+    });
     return vc.delta.data();
 }
 
@@ -405,7 +478,7 @@ const std::int64_t* RoundTally::coin_delta_plane(MsgKind kind, Phase phase,
         return 0;
     };
     // Pattern rows as a difference sweep (O(1) per side, one prefix pass),
-    // dense rows probed cellwise — same shape as val_delta_plane.
+    // dense slots swept once each — same shape as val_delta_plane.
     bool any_pattern = false;
     for (std::size_t r = 0; r < rows; ++r) {
         const NodeId u = buf_->row_sender(r);
@@ -426,15 +499,12 @@ const std::int64_t* RoundTally::coin_delta_plane(MsgKind kind, Phase phase,
     }
     if (any_pattern)
         for (NodeId v = 1; v < n; ++v) cc.delta[v] += cc.delta[v - 1];
-    for (std::size_t r = 0; r < rows; ++r) {
-        const NodeId u = buf_->row_sender(r);
-        if (u < first || u >= last) continue;
-        if (buf_->row_mode(r) == RoundBuffer::kRowPattern) continue;
-        for (NodeId v = 0; v < n; ++v) {
-            const Message* m = buf_->row_delivery(r, v);
-            if (m != nullptr) cc.delta[v] += sign_of(*m);
-        }
-    }
+    for_each_weighted_slot(first, last, [&](const Message* msgs,
+                                            const std::uint8_t* present, Count w) {
+        const auto weight = static_cast<std::int64_t>(w);
+        for (NodeId v = 0; v < n; ++v)
+            if (present[v] != 0) cc.delta[v] += weight * sign_of(msgs[v]);
+    });
     return cc.delta.data();
 }
 

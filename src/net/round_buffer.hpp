@@ -12,14 +12,20 @@
 //    A row is either Dense (n per-receiver cells) or a Pattern (threshold
 //    equivocation: one message below a receiver boundary, another above),
 //    so the classic split/broadcast attacks cost O(1) per sender per round
-//    instead of O(n).
+//    instead of O(n). Dense rows point at dense *slots* (n-cell blocks),
+//    and one slot may back many rows: deliver_shared fills a single slot
+//    with a per-receiver vector and points every fresh listed sender at it,
+//    so k senders equivocating identically cost O(n + k), not O(k * n).
+//    A shared slot is copy-on-write — the first deliver/apply_pattern merge
+//    into one of its rows gives that row a private copy first.
 //
 //  * RoundTally — the engine-level shared tally service. Honest broadcasts
 //    are receiver-independent, so their (kind, phase) histogram is computed
 //    ONCE per round in O(n); Byzantine-row deltas are aggregated once per
 //    query signature into per-receiver arrays (O(n + rows) for pattern
-//    rows, O(n) per dense row), dropping honest-path receives from O(n²)
-//    per round to O(n).
+//    rows, O(n) per distinct dense slot, each slot weighted by the number
+//    of in-range rows that reference it), dropping honest-path receives
+//    from O(n²) per round to O(n).
 //
 //  * ReceiveView — the receiver's window onto one round, now a concrete
 //    `final` class (non-virtual `from()`, bulk `for_each_delivery`, and the
@@ -39,6 +45,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -110,6 +117,14 @@ public:
     /// back to a dense merge when the sender already delivered this round.
     Count apply_pattern(NodeId byz_from, const Message* low, const Message* high,
                         NodeId boundary);
+    /// cells[to] from every sender in `byz_from` to every receiver `to`
+    /// (cells.size() == n): the same deliveries as the per-pair deliver()
+    /// loop, in O(n + |byz_from|) when the senders have no row yet — one
+    /// dense slot is filled once and shared by all of them. Senders that
+    /// already delivered this round merge cellwise. Returns the number of
+    /// previously-empty (sender, receiver) slots now covered.
+    std::uint64_t deliver_shared(std::span<const NodeId> byz_from,
+                                 std::span<const Message> cells);
 
     // ---- beat 3: receiver probes (the hot path) ----
     const Message* from(NodeId receiver, NodeId sender) const {
@@ -126,6 +141,18 @@ public:
     NodeId row_sender(std::size_t row) const { return row_sender_[row]; }
     std::uint8_t row_mode(std::size_t row) const { return row_mode_[row]; }
     const RowPattern& row_pattern(std::size_t row) const { return row_pattern_[row]; }
+    /// Dense slot backing a dense row (several rows may share one slot).
+    std::size_t row_slot(std::size_t row) const {
+        return static_cast<std::size_t>(row_slot_[row]);
+    }
+    std::size_t slots_in_use() const { return slots_in_use_; }
+    /// A dense slot's n cells and presence bytes, indexed by receiver.
+    const Message* slot_messages(std::size_t slot) const {
+        return byz_msgs_.data() + slot * n_;
+    }
+    const std::uint8_t* slot_presence(std::size_t slot) const {
+        return byz_present_.data() + slot * n_;
+    }
     const Message* row_delivery(std::size_t row, NodeId receiver) const {
         if (row_mode_[row] == kRowDense) {
             const std::size_t off =
@@ -141,13 +168,17 @@ public:
 
 private:
     std::int32_t ensure_row(NodeId v);
+    /// Appends a dense slot with no referencing rows; its cells are stale.
+    std::size_t new_slot();
     /// Assigns (and clears) a dense cell block for `row`. Dense storage is
     /// allocated per *densified* row, not per row: a round of t pattern
     /// rows (every split/broadcast attack) costs O(t) bookkeeping, not an
     /// O(t * n) cell arena.
     void assign_dense_slot(std::size_t row);
-    /// Materializes a pattern row into dense cells (merge path).
-    void densify(std::size_t row);
+    /// Makes an existing row's cells safe to write in place: a pattern row
+    /// is materialized into its own dense slot, and a row on a shared slot
+    /// gets a private copy (copy-on-write).
+    void make_writable(std::size_t row);
 
     NodeId n_ = 0;
     std::vector<Message> honest_;        ///< [n] honest broadcasts
@@ -156,6 +187,7 @@ private:
     std::vector<NodeId> row_sender_;     ///< [rows] row -> sender
     std::vector<std::uint8_t> row_mode_; ///< [rows] kRowDense / kRowPattern
     std::vector<std::int32_t> row_slot_; ///< [rows] dense slot index, or -1
+    std::vector<std::uint32_t> slot_refs_;  ///< [slots] rows on each slot
     std::vector<RowPattern> row_pattern_;  ///< [rows] pattern payloads
     std::vector<Message> byz_msgs_;      ///< [slots * n] dense delivery cells
     std::vector<std::uint8_t> byz_present_;  ///< [slots * n]
@@ -294,6 +326,12 @@ private:
     void rebuild_scalar(const RoundBuffer& buf);
     void rebuild_packed(const RoundBuffer& buf, IntraDispatcher* intra);
     TallyBucket& bucket_for(MsgKind kind, Phase phase, std::size_t words);
+    /// Calls sweep(msgs, presence, weight) once per dense slot referenced by
+    /// a dense row whose sender lies in [first, last); weight = the number
+    /// of such rows on that slot. A slot shared by k identical rows is
+    /// swept once instead of k times.
+    template <typename Fn>
+    void for_each_weighted_slot(NodeId first, NodeId last, Fn&& sweep) const;
 
     const RoundBuffer* buf_ = nullptr;
     bool packed_ = false;
@@ -309,6 +347,7 @@ private:
     mutable std::vector<CoinCache> coin_caches_;
     mutable std::size_t coin_caches_in_use_ = 0;
     mutable WordHistogram byz_words_scratch_;  ///< recycled by byz_word_deltas
+    mutable std::vector<Count> slot_weight_;   ///< for_each_weighted_slot scratch
 };
 
 /// Receiver-specific view of one round's deliveries — concrete and final so

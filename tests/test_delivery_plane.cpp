@@ -1,8 +1,9 @@
 // Delivery-plane tests: the flat RoundBuffer/RoundTally path must be
 // BIT-IDENTICAL to the reference virtual-dispatch path (per-sender loops
 // over a DeliverySource) for every compatible (protocol, adversary) registry
-// pair, at any thread count; plus pattern-row mechanics and the halted-
-// receiver message-accounting contract.
+// pair, at any thread count; plus pattern-row mechanics, shared dense rows
+// (deliver_shared / RoundControl::deliver_rows_as) against their per-cell
+// expansion, and the halted-receiver message-accounting contract.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,9 +11,13 @@
 #include <memory>
 #include <vector>
 
+#include "core/multivalued.hpp"
 #include "net/engine.hpp"
 #include "net/round_buffer.hpp"
 #include "rand/rng.hpp"
+#include "rand/seed_tree.hpp"
+#include "sim/inputs.hpp"
+#include "sim/multivalued_runner.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "support/contracts.hpp"
@@ -344,6 +349,371 @@ TEST(DeliveryPlanePatterns, BroadcastAsCountsOnlyFreshSlots) {
     net::Engine eng({4, 1, 1, false}, inbox_nodes(4, 1, nullptr), adv);
     const net::RunResult res = eng.run();
     EXPECT_EQ(res.metrics.byzantine_messages, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Shared dense rows: deliver_shared against the same deliveries expanded to
+// per-cell deliver() on a second buffer.
+
+Message random_message(Xoshiro256& rng) {
+    Message m;
+    const MsgKind kinds[] = {MsgKind::Vote1, MsgKind::Vote2, MsgKind::TCEcho};
+    m.kind = kinds[rng.below(3)];
+    m.phase = static_cast<Phase>(rng.below(2));
+    m.val = static_cast<Bit>(rng.below(2));
+    m.flag = static_cast<std::uint8_t>(rng.below(2));
+    m.coin = static_cast<CoinSign>(static_cast<std::int64_t>(rng.below(5)) - 2);
+    m.word = static_cast<net::Word>(rng.below(4));
+    return m;
+}
+
+/// Delta planes may be null (no rows); null reads as all zeros.
+template <typename Cell>
+Cell plane_at(const Cell* plane, NodeId v) {
+    return plane == nullptr ? Cell{} : plane[v];
+}
+
+void expect_tallies_eq(const net::RoundBuffer& shared, const net::RoundBuffer& expanded,
+                       bool packed, Xoshiro256& rng) {
+    const NodeId n = shared.n();
+    net::RoundTally ts, te;
+    ts.rebuild(shared, packed, nullptr);
+    te.rebuild(expanded, packed, nullptr);
+    for (const MsgKind kind : {MsgKind::Vote1, MsgKind::Vote2, MsgKind::TCEcho}) {
+        for (const Phase ph : {Phase{0}, Phase{1}}) {
+            for (const bool flag : {false, true}) {
+                const auto* a = ts.val_delta_plane(kind, ph, flag);
+                const auto* b = te.val_delta_plane(kind, ph, flag);
+                for (NodeId v = 0; v < n; ++v)
+                    ASSERT_EQ(plane_at(a, v), plane_at(b, v)) << "val receiver " << v;
+            }
+            for (int range = 0; range < 3; ++range) {
+                const NodeId first = range == 0 ? 0 : static_cast<NodeId>(rng.below(n));
+                const NodeId last =
+                    range == 0 ? n : first + static_cast<NodeId>(rng.below(n - first + 1));
+                const bool check_phase = range != 1;
+                const auto* a = ts.coin_delta_plane(kind, ph, check_phase, first, last);
+                const auto* b = te.coin_delta_plane(kind, ph, check_phase, first, last);
+                for (NodeId v = 0; v < n; ++v)
+                    ASSERT_EQ(plane_at(a, v), plane_at(b, v))
+                        << "coin receiver " << v << " senders [" << first << ", " << last
+                        << ")";
+            }
+        }
+        for (NodeId v = 0; v < n; ++v) {
+            const net::WordHistogram a = ts.byz_word_deltas(kind, false, v);
+            ASSERT_EQ(a, te.byz_word_deltas(kind, false, v)) << "words receiver " << v;
+        }
+    }
+}
+
+TEST(DeliveryPlaneShared, RandomOpsMatchPerCellExpansion) {
+    Xoshiro256 rng(0x5A4ED);
+    for (int iter = 0; iter < 120; ++iter) {
+        // Mostly small n, sometimes past one 64-bit word for the packed mode.
+        const NodeId n = 5 + static_cast<NodeId>(rng.below(iter % 4 == 0 ? 140 : 30));
+        net::RoundBuffer shared, expanded;
+        shared.reset(n);
+        expanded.reset(n);
+        std::vector<NodeId> byz;
+        // Two rounds per buffer: slot bookkeeping must recycle cleanly.
+        for (int round = 0; round < 2; ++round) {
+            shared.begin_round();
+            expanded.begin_round();
+            for (NodeId v = 0; v < n; ++v) {
+                if (!shared.is_honest(v)) continue;
+                if (rng.bernoulli(0.3)) {
+                    shared.corrupt(v);
+                    expanded.corrupt(v);
+                    byz.push_back(v);
+                } else if (rng.bernoulli(0.8)) {
+                    const Message m = random_message(rng);
+                    shared.set_broadcast(v, m);
+                    expanded.set_broadcast(v, m);
+                }
+            }
+            if (byz.empty()) continue;
+            const auto pick = [&](const std::vector<NodeId>& from) {
+                return from[rng.below(from.size())];
+            };
+            std::vector<NodeId> last_shared;  // senders of the latest shared call
+            std::vector<Message> cells(n);
+            const int ops = 2 + static_cast<int>(rng.below(10));
+            for (int op = 0; op < ops; ++op) {
+                const double kind = rng.uniform01();
+                // Writes aim at a sender on a shared slot half the time.
+                const NodeId u = !last_shared.empty() && rng.bernoulli(0.5)
+                                     ? pick(last_shared)
+                                     : pick(byz);
+                if (kind < 0.3) {
+                    const NodeId to = static_cast<NodeId>(rng.below(n));
+                    const Message m = random_message(rng);
+                    ASSERT_EQ(shared.deliver(u, to, m), expanded.deliver(u, to, m));
+                } else if (kind < 0.55) {
+                    const Message low = random_message(rng);
+                    const Message high = random_message(rng);
+                    const Message* lo = rng.bernoulli(0.8) ? &low : nullptr;
+                    const Message* hi = rng.bernoulli(0.8) ? &high : nullptr;
+                    const NodeId boundary = static_cast<NodeId>(rng.below(n + 1));
+                    Count fresh = 0;
+                    for (NodeId to = 0; to < n; ++to)
+                        if (const Message* m = to < boundary ? lo : hi)
+                            fresh += expanded.deliver(u, to, *m) ? 1 : 0;
+                    ASSERT_EQ(shared.apply_pattern(u, lo, hi, boundary), fresh);
+                } else {
+                    // Random senders with repeats; some already hold rows.
+                    last_shared.clear();
+                    const std::size_t k = 1 + rng.below(byz.size() + 1);
+                    for (std::size_t i = 0; i < k; ++i) last_shared.push_back(pick(byz));
+                    for (NodeId to = 0; to < n; ++to) cells[to] = random_message(rng);
+                    std::uint64_t fresh = 0;
+                    for (const NodeId s : last_shared)
+                        for (NodeId to = 0; to < n; ++to)
+                            fresh += expanded.deliver(s, to, cells[to]) ? 1 : 0;
+                    ASSERT_EQ(shared.deliver_shared(last_shared, cells), fresh);
+                }
+            }
+            ASSERT_EQ(shared.rows_in_use(), expanded.rows_in_use());
+            for (NodeId recv = 0; recv < n; ++recv) {
+                for (NodeId u = 0; u < n; ++u) {
+                    const Message* a = shared.from(recv, u);
+                    const Message* b = expanded.from(recv, u);
+                    ASSERT_EQ(a == nullptr, b == nullptr) << recv << " <- " << u;
+                    if (a) ASSERT_EQ(*a, *b) << recv << " <- " << u;
+                }
+            }
+            expect_tallies_eq(shared, expanded, false, rng);
+            expect_tallies_eq(shared, expanded, true, rng);
+        }
+    }
+}
+
+TEST(DeliveryPlaneShared, SharedSlotIsCopiedBeforeAWrite) {
+    const NodeId n = 8;
+    net::RoundBuffer buf;
+    buf.reset(n);
+    buf.begin_round();
+    for (const NodeId v : {1u, 2u, 3u}) buf.corrupt(v);
+    std::vector<Message> cells(n);
+    for (NodeId to = 0; to < n; ++to) {
+        cells[to].kind = MsgKind::Vote2;
+        cells[to].coin = to % 2 == 0 ? CoinSign{1} : CoinSign{-1};
+    }
+    const std::vector<NodeId> senders = {1, 2, 3, 2};  // 2 listed twice
+    EXPECT_EQ(buf.deliver_shared(senders, cells), 3u * n);
+    EXPECT_EQ(buf.slots_in_use(), 1u);
+
+    Message late;
+    late.kind = MsgKind::Vote1;
+    EXPECT_FALSE(buf.deliver(2, 5, late));  // overwrite: not a fresh slot
+    EXPECT_EQ(buf.slots_in_use(), 2u);      // sender 2 got its own copy
+    EXPECT_EQ(*buf.from(5, 2), late);
+    EXPECT_EQ(*buf.from(5, 1), cells[5]);
+    EXPECT_EQ(*buf.from(5, 3), cells[5]);
+
+    // Coin deltas weight the shared slot by its in-range rows: senders 1
+    // and 3 here, sender 2's private copy once.
+    net::RoundTally tally;
+    tally.rebuild(buf);
+    const std::int64_t* all = tally.coin_delta_plane(MsgKind::Vote2, 0, true, 0, n);
+    ASSERT_NE(all, nullptr);
+    EXPECT_EQ(all[4], 3);
+    EXPECT_EQ(all[5], -2);  // sender 2 sends Vote1 to receiver 5
+    const std::int64_t* just3 = tally.coin_delta_plane(MsgKind::Vote2, 0, true, 3, 4);
+    EXPECT_EQ(just3[4], 1);
+    EXPECT_EQ(just3[5], -1);
+}
+
+/// Forwards every RoundControl call except deliver_rows_as, which therefore
+/// runs the base class's per-pair deliver_as loop — the semantic spec.
+class PerPairControl final : public net::RoundControl {
+public:
+    PerPairControl(net::RoundControl& inner, std::uint64_t& deliver_as_calls)
+        : in_(inner), calls_(deliver_as_calls) {}
+
+    Round round() const override { return in_.round(); }
+    NodeId n() const override { return in_.n(); }
+    Count budget_left() const override { return in_.budget_left(); }
+    bool is_honest(NodeId v) const override { return in_.is_honest(v); }
+    bool is_halted(NodeId v) const override { return in_.is_halted(v); }
+    const Message* intended_broadcast(NodeId v) const override {
+        return in_.intended_broadcast(v);
+    }
+    Bit current_value(NodeId v) const override { return in_.current_value(v); }
+    bool current_decided(NodeId v) const override { return in_.current_decided(v); }
+    std::optional<Message> corrupt(NodeId v) override { return in_.corrupt(v); }
+    void deliver_as(NodeId byz_from, NodeId to, const Message& m) override {
+        ++calls_;
+        in_.deliver_as(byz_from, to, m);
+    }
+    void split_as(NodeId byz_from, const std::optional<Message>& low,
+                  const std::optional<Message>& high, NodeId boundary) override {
+        in_.split_as(byz_from, low, high, boundary);
+    }
+
+private:
+    net::RoundControl& in_;
+    std::uint64_t& calls_;
+};
+
+class PerPairAdversary final : public net::Adversary {
+public:
+    explicit PerPairAdversary(net::Adversary& inner) : in_(inner) {}
+    void on_start(NodeId n, Count budget) override { in_.on_start(n, budget); }
+    void act(net::RoundControl& ctl) override {
+        PerPairControl per_pair(ctl, deliver_as_calls);
+        in_.act(per_pair);
+    }
+    std::uint64_t deliver_as_calls = 0;
+
+private:
+    net::Adversary& in_;
+};
+
+void expect_runs_eq(const net::RunResult& a, const net::RunResult& b) {
+    EXPECT_EQ(a.outputs, b.outputs);
+    EXPECT_EQ(a.honest, b.honest);
+    EXPECT_EQ(a.halted, b.halted);
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.outcome, b.outcome);
+    EXPECT_EQ(a.metrics.honest_messages, b.metrics.honest_messages);
+    EXPECT_EQ(a.metrics.honest_bits, b.metrics.honest_bits);
+    EXPECT_EQ(a.metrics.byzantine_messages, b.metrics.byzantine_messages);
+    EXPECT_EQ(a.metrics.rounds, b.metrics.rounds);
+    EXPECT_EQ(a.metrics.corruptions, b.metrics.corruptions);
+}
+
+/// A trial's result plus the per-pair deliver_as calls it took (0 when
+/// the adversary drove the plane's own control directly).
+struct PinnedTrial {
+    net::RunResult run;
+    std::uint64_t deliver_as_calls = 0;
+    std::vector<std::unique_ptr<net::HonestNode>> nodes;  ///< per-node form only
+};
+
+/// Runs one engine trial on either a batch or a node set (pass the other
+/// empty); `per_pair` routes the adversary through PerPairControl.
+PinnedTrial run_pinned(net::EngineConfig cfg, std::unique_ptr<net::BatchProtocol> batch,
+                       std::vector<std::unique_ptr<net::HonestNode>> nodes,
+                       net::Adversary& adversary, bool per_pair) {
+    PerPairAdversary wrapped(adversary);
+    net::Adversary& acting = per_pair ? static_cast<net::Adversary&>(wrapped) : adversary;
+    const bool batched = batch != nullptr;
+    std::optional<net::Engine> eng;
+    if (batched)
+        eng.emplace(cfg, std::move(batch), acting);
+    else
+        eng.emplace(cfg, std::move(nodes), acting);
+    PinnedTrial out;
+    out.run = eng->run();
+    out.deliver_as_calls = wrapped.deliver_as_calls;
+    if (!batched) out.nodes = eng->take_nodes();
+    return out;
+}
+
+/// One binary trial built from the registry factories the way the runner
+/// builds it.
+PinnedTrial run_binary_trial(const sim::ScenarioPlan& plan, std::uint64_t seed,
+                             bool per_pair) {
+    const sim::Scenario& s = plan.scenario;
+    const SeedTree seeds(seed);
+    const std::vector<Bit> inputs = sim::make_inputs(s.inputs, s.n, seeds);
+    sim::ProtocolBundle bundle = plan.protocol->make_batch(s, inputs, seeds);
+    const auto adversary = plan.adversary->make_adversary(s, bundle, seeds);
+    net::EngineConfig cfg;
+    cfg.n = s.n;
+    cfg.budget = s.t;
+    cfg.max_rounds = bundle.default_max_rounds;
+    return run_pinned(cfg, std::move(bundle.batch), {}, *adversary, per_pair);
+}
+
+TEST(DeliveryPlaneShared, WorstCaseRowsMatchPerPairDefault) {
+    for (const auto protocol : {sim::ProtocolKind::Ours, sim::ProtocolKind::ChorCoanRushing}) {
+        sim::Scenario s;
+        s.protocol = protocol;
+        s.adversary = sim::AdversaryKind::WorstCase;
+        s.n = 4096;
+        s.t = 64;
+        s.inputs = sim::InputPattern::Split;
+        const sim::ScenarioPlan plan = sim::validate(s);
+        std::uint64_t per_pair_calls = 0;
+        for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+            SCOPED_TRACE(s.describe() + " seed " + std::to_string(seed));
+            const PinnedTrial direct = run_binary_trial(plan, seed, false);
+            const PinnedTrial spec = run_binary_trial(plan, seed, true);
+            expect_runs_eq(direct.run, spec.run);
+            per_pair_calls += spec.deliver_as_calls;
+
+            // The hand-built trial is the runner's trial.
+            const sim::TrialResult runner = sim::run_trial(plan, seed);
+            EXPECT_EQ(runner.rounds, direct.run.rounds);
+            EXPECT_EQ(runner.metrics.byzantine_messages,
+                      direct.run.metrics.byzantine_messages);
+            EXPECT_EQ(runner.metrics.corruptions, direct.run.metrics.corruptions);
+        }
+        // The SPLIT ruin ran: it is the strategy's only per-cell delivery.
+        EXPECT_GT(per_pair_calls, 0u) << s.describe();
+    }
+}
+
+TEST(DeliveryPlaneShared, TcPreludeRowsMatchPerPairDefault) {
+    sim::MvScenario s;
+    s.n = 64;
+    s.t = 21;
+    s.q = 12;  // 6 prelude corruptions, 6 for the inner worst case
+    s.adversary = sim::MvAdversaryKind::PreludePlusWorstCase;
+    const sim::MvScenarioPlan plan = sim::validate(s);
+    // Near-quorum inputs arm the prelude's boundary split (39 honest holders
+    // of the plurality word: 39 < n-t = 43 <= 39 + 6); two blocks of 32
+    // leave it unarmed, so round 1 takes the per-sender broadcast form.
+    for (const bool armed : {true, false}) {
+        std::vector<net::Word> inputs(s.n);
+        for (NodeId v = 0; v < s.n; ++v) {
+            if (armed)
+                inputs[v] = v < 39 ? 0xAAAA : 0x2000u + v;
+            else
+                inputs[v] = v < s.n / 2 ? 0xAAAA : 0xBBBB;
+        }
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(std::string(armed ? "armed" : "unarmed") + " seed " +
+                         std::to_string(seed));
+            PinnedTrial runs[2];
+            for (int per_pair = 0; per_pair < 2; ++per_pair) {
+                const SeedTree seeds(seed);
+                const auto adversary = plan.adversary->make_adversary(s, plan.params, seeds);
+                net::EngineConfig cfg;
+                cfg.n = s.n;
+                cfg.budget = s.t;
+                cfg.max_rounds = plan.cap;
+                runs[per_pair] =
+                    run_pinned(cfg, nullptr,
+                               core::make_turpin_coan_nodes(plan.params, inputs, seeds),
+                               *adversary, per_pair == 1);
+            }
+            expect_runs_eq(runs[0].run, runs[1].run);
+            for (NodeId v = 0; v < s.n; ++v) {
+                if (!runs[0].run.honest[v]) continue;
+                const auto word = [&](int i) {
+                    return static_cast<const core::TurpinCoanNode&>(*runs[i].nodes[v])
+                        .output_word();
+                };
+                EXPECT_EQ(word(0), word(1)) << "node " << v;
+            }
+            EXPECT_GT(runs[1].deliver_as_calls, 0u);  // round 0 is per-receiver
+            EXPECT_GT(runs[0].run.metrics.byzantine_messages, 0u);
+        }
+    }
+}
+
+TEST(DeliveryPlaneShared, FusedStillDeclinesWorstCase) {
+    const sim::Scenario s =
+        sim::Scenario::parse("protocol=ours adversary=worst-case n=64 t=4 fused=true");
+    const auto why = sim::why_incompatible(s);
+    ASSERT_TRUE(why.has_value());
+    EXPECT_NE(why->find("adversary 'worst-case' does not act through the fused plane's "
+                        "lane-masked split_as bridge"),
+              std::string::npos)
+        << *why;
 }
 
 // ---------------------------------------------------------------------------
