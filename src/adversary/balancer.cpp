@@ -2,17 +2,20 @@
 
 #include <algorithm>
 
+#include "adversary/observer.hpp"
+
 namespace adba::adv {
 
 void MajorityBalancerAdversary::act(net::RoundControl& ctl) {
-    const NodeId n = ctl.n();
+    const Observer obs(ctl);
+    const NodeId n = obs.n();
 
     // Observe the round's honest broadcasts (rushing).
     Count tally[2] = {0, 0};
     std::vector<NodeId> side[2];
     for (NodeId v = 0; v < n; ++v) {
-        if (!ctl.is_honest(v) || ctl.is_halted(v)) continue;
-        const auto& m = ctl.intended_broadcast(v);
+        if (!obs.live(v)) continue;
+        const net::Message* m = obs.broadcast(v);
         if (!m) continue;
         const Bit b = m->val & 1;
         ++tally[b];

@@ -2,15 +2,18 @@
 
 #include <vector>
 
+#include "adversary/observer.hpp"
+
 namespace adba::adv {
 
 void ChaosAdversary::act(net::RoundControl& ctl) {
     const NodeId n = ctl.n();
     if (corrupted_.size() < cfg_.max_corruptions && ctl.budget_left() > 0 &&
         rng_.bernoulli(cfg_.corrupt_prob)) {
+        const Observer obs(ctl);
         std::vector<NodeId> candidates;
         for (NodeId v = 0; v < n; ++v)
-            if (ctl.is_honest(v) && !ctl.is_halted(v)) candidates.push_back(v);
+            if (obs.live(v)) candidates.push_back(v);
         if (!candidates.empty()) {
             const NodeId victim = candidates[rng_.below(candidates.size())];
             ctl.corrupt(victim);

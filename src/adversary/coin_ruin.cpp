@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "adversary/observer.hpp"
 #include "support/contracts.hpp"
 
 namespace adba::adv {
@@ -10,11 +11,12 @@ void CoinRuinAdversary::act(net::RoundControl& ctl) {
     if (ctl.round() != 0) return;  // the coin protocols are one round long
 
     // Observe the designated flips (rushing: current-round randomness).
+    const Observer obs(ctl);
     std::int64_t sum = 0;
     std::vector<NodeId> pos, neg;
     for (NodeId u = 0; u < cfg_.designated; ++u) {
-        if (!ctl.is_honest(u)) continue;
-        const auto& m = ctl.intended_broadcast(u);
+        if (!obs.honest(u)) continue;
+        const net::Message* m = obs.broadcast(u);
         if (!m || m->kind != net::MsgKind::Coin || m->coin == 0) continue;
         if (m->coin > 0) {
             ++sum;

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "adversary/observer.hpp"
 #include "support/contracts.hpp"
 
 namespace adba::adv {
@@ -26,10 +27,11 @@ void CrashAdversary::crash_prefix(net::RoundControl& ctl, NodeId v, NodeId prefi
 void CrashAdversary::act_random(net::RoundControl& ctl) {
     if (crashes_ >= cfg_.max_crashes || ctl.budget_left() == 0) return;
     if (!rng_.bernoulli(cfg_.crash_prob)) return;
-    const NodeId n = ctl.n();
+    const Observer obs(ctl);
+    const NodeId n = obs.n();
     std::vector<NodeId> candidates;
     for (NodeId v = 0; v < n; ++v)
-        if (ctl.is_honest(v) && !ctl.is_halted(v)) candidates.push_back(v);
+        if (obs.live(v)) candidates.push_back(v);
     if (candidates.empty()) return;
     const NodeId victim = candidates[rng_.below(candidates.size())];
     const auto prefix = static_cast<NodeId>(rng_.below(n + 1));
@@ -44,11 +46,12 @@ void CrashAdversary::act_targeted(net::RoundControl& ctl) {
     const auto [first, last] = sched.range(sched.committee_of_phase(p));
 
     // Honest committee flip sum and the flippers by sign.
+    const Observer obs(ctl);
     std::int64_t sum = 0;
     std::vector<NodeId> pos, neg;
     for (NodeId u = first; u < last; ++u) {
-        if (!ctl.is_honest(u) || ctl.is_halted(u)) continue;
-        const auto& m = ctl.intended_broadcast(u);
+        if (!obs.live(u)) continue;
+        const net::Message* m = obs.broadcast(u);
         if (!m || m->coin == 0) continue;
         if (m->coin > 0) {
             ++sum;

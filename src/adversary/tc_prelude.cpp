@@ -2,18 +2,21 @@
 
 #include <map>
 
+#include "adversary/observer.hpp"
+
 namespace adba::adv {
 
 void TcPreludeAdversary::act(net::RoundControl& ctl) {
-    const NodeId n = ctl.n();
+    const Observer obs(ctl);
+    const NodeId n = obs.n();
     const Count quorum = n - budget_;  // n - t: the prelude's threshold
 
     if (ctl.round() == 0) {
         // Rushing: read the honest word distribution first, then corrupt.
         std::map<net::Word, Count> tally;
         for (NodeId v = 0; v < n; ++v) {
-            if (!ctl.is_honest(v)) continue;
-            const auto& m = ctl.intended_broadcast(v);
+            if (!obs.honest(v)) continue;
+            const net::Message* m = obs.broadcast(v);
             if (m && m->kind == net::MsgKind::TCValue) ++tally[m->word];
         }
         plurality_ = 0;
@@ -28,12 +31,12 @@ void TcPreludeAdversary::act(net::RoundControl& ctl) {
         // the honest plurality count intact to push receivers over the
         // quorum.
         auto holds_plurality = [&](NodeId v) {
-            const auto& m = ctl.intended_broadcast(v);
+            const net::Message* m = obs.broadcast(v);
             return m && m->kind == net::MsgKind::TCValue && m->word == plurality_;
         };
         for (int pass = 0; pass < 2; ++pass) {
             for (NodeId v = 0; v < n && corrupted_.size() < q_; ++v) {
-                if (!ctl.is_honest(v) || ctl.budget_left() == 0) continue;
+                if (!obs.honest(v) || ctl.budget_left() == 0) continue;
                 if ((pass == 0) == holds_plurality(v)) continue;
                 ctl.corrupt(v);
                 corrupted_.push_back(v);
@@ -43,7 +46,7 @@ void TcPreludeAdversary::act(net::RoundControl& ctl) {
         // Recount the honest plurality bloc post-corruption.
         Count p_live = 0;
         for (NodeId v = 0; v < n; ++v)
-            if (ctl.is_honest(v) && holds_plurality(v)) ++p_live;
+            if (obs.honest(v) && holds_plurality(v)) ++p_live;
 
         // Boundary split: feasible iff the plurality bloc is inside the
         // adversary's reach of the quorum (p < quorum <= p + q). Target
@@ -56,7 +59,7 @@ void TcPreludeAdversary::act(net::RoundControl& ctl) {
         echo_targets_.clear();
         if (split_armed_) {
             for (NodeId v = 0; v < n && echo_targets_.size() < quorum - 1; ++v)
-                if (ctl.is_honest(v)) echo_targets_.push_back(v);
+                if (obs.honest(v)) echo_targets_.push_back(v);
         }
         // Every corrupted node sends the same per-receiver words: the
         // plurality word to the targets, a receiver-unique decoy elsewhere.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "adversary/observer.hpp"
 #include "support/contracts.hpp"
 
 namespace adba::adv {
@@ -32,13 +33,14 @@ void WorstCaseAdversary::act(net::RoundControl& ctl) {
 
 void WorstCaseAdversary::act_round1(net::RoundControl& ctl, Phase p) {
     if (!cfg_.block_round1_quorums) return;
-    const NodeId n = ctl.n();
+    const Observer obs(ctl);
+    const NodeId n = obs.n();
     const Count quorum = n - cfg_.t;
 
     Count tally[2] = {0, 0};
     for (NodeId v = 0; v < n; ++v) {
-        if (!ctl.is_honest(v) || ctl.is_halted(v)) continue;
-        const auto& m = ctl.intended_broadcast(v);
+        if (!obs.live(v)) continue;
+        const net::Message* m = obs.broadcast(v);
         if (m && m->kind == net::MsgKind::Vote1 && m->phase == p) ++tally[m->val & 1];
     }
 
@@ -53,8 +55,8 @@ void WorstCaseAdversary::act_round1(net::RoundControl& ctl, Phase p) {
         for (NodeId v = 0; v < n && committee_first.size() + rest.size() <
                                         static_cast<std::size_t>(tally[b]);
              ++v) {
-            if (!ctl.is_honest(v) || ctl.is_halted(v)) continue;
-            const auto& m = ctl.intended_broadcast(v);
+            if (!obs.live(v)) continue;
+            const net::Message* m = obs.broadcast(v);
             if (!(m && m->kind == net::MsgKind::Vote1 && m->phase == p && (m->val & 1) == b))
                 continue;
             if (cfg_.schedule.flips_in_phase(v, p))
@@ -78,7 +80,8 @@ void WorstCaseAdversary::act_round1(net::RoundControl& ctl, Phase p) {
 }
 
 void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
-    const NodeId n = ctl.n();
+    const Observer obs(ctl);
+    const NodeId n = obs.n();
     const auto [first, last] = cfg_.schedule.range(cfg_.schedule.committee_of_phase(p));
     const auto in_committee = [&](NodeId v) { return v >= first && v < last; };
 
@@ -91,10 +94,10 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
     victims_.clear();
     decided_in_.clear();
     for (NodeId v = 0; v < n; ++v) {
-        if (!ctl.is_honest(v) || ctl.is_halted(v)) continue;
-        if (ctl.current_decided(v)) {
+        if (!obs.live(v)) continue;
+        if (obs.decided(v)) {
             ++d;
-            b_i = ctl.current_value(v);
+            b_i = obs.value(v);
             (in_committee(v) ? decided_in_ : victims_).push_back(v);
         }
     }
@@ -109,12 +112,12 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
     plan_neg.clear();
     Count m_byz = 0;
     for (NodeId u = first; u < last; ++u) {
-        if (!ctl.is_honest(u)) {
+        if (!obs.honest(u)) {
             ++m_byz;
             continue;
         }
-        if (ctl.is_halted(u)) continue;
-        const auto& m = ctl.intended_broadcast(u);
+        if (obs.halted(u)) continue;
+        const net::Message* m = obs.broadcast(u);
         if (!m || m->kind != net::MsgKind::Vote2 || m->coin == 0) continue;
         if (m->coin > 0) {
             ++sum;
@@ -230,7 +233,7 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
     // ---- deliveries from every Byzantine committee member ----
     byz_members_.clear();
     for (NodeId u = first; u < last; ++u)
-        if (!ctl.is_honest(u)) byz_members_.push_back(u);
+        if (!obs.honest(u)) byz_members_.push_back(u);
     if (byz_members_.empty()) return;  // natural ruin, nothing to push
 
     net::Message m;
@@ -244,7 +247,7 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
         bool next = false;
         for (NodeId v = 0; v < n; ++v) {
             bool up = false;
-            if (ctl.is_honest(v) && !ctl.is_halted(v)) {
+            if (obs.live(v)) {
                 up = next;
                 next = !next;
             }

@@ -104,6 +104,7 @@ void PhaseKingBatch::rearm(const PhaseKingParams& params,
     maj_.assign(n, 0);
     mult_.assign(n, 0);
     halted_.assign(n, 0);
+    never_decided_.assign(n, 0);
 }
 
 void PhaseKingBatch::send_all(Round r, net::RoundBuffer& buf) {

@@ -102,6 +102,8 @@ public:
     Bit value(NodeId v) const override { return val_[v]; }
     bool decided(NodeId /*v*/) const override { return false; }
     Bit output(NodeId v) const override { return val_[v]; }
+    const Bit* value_plane() const override { return val_.data(); }
+    const std::uint8_t* decided_plane() const override { return never_decided_.data(); }
 
 private:
     void apply_send_round(NodeId v, const std::array<Count, 2>& cnt);
@@ -116,6 +118,7 @@ private:
     std::vector<Bit> maj_;
     std::vector<Count> mult_;
     std::vector<std::uint8_t> halted_;
+    std::vector<std::uint8_t> never_decided_;  ///< all-zero decided plane
 };
 
 /// 64-lane Phase-King over the fused trial plane: round-1 majorities from

@@ -148,6 +148,14 @@ public:
     virtual bool decided(NodeId v) const = 0;
     virtual Bit output(NodeId v) const = 0;
 
+    /// The byte planes behind value(v) / decided(v), one byte per node
+    /// (value 0/1; decided nonzero = decided), for batches that keep them
+    /// as SoA arrays. Together with halted_plane() they back the engine's
+    /// RoundControl::planes() view. nullptr (the default) = no such plane;
+    /// the adversary then reads the per-node calls. Valid between beats.
+    virtual const Bit* value_plane() const { return nullptr; }
+    virtual const std::uint8_t* decided_plane() const { return nullptr; }
+
     /// The underlying per-node objects, when this batch has them (adapter);
     /// nullptr for native SoA batches. Round observers require them.
     virtual const std::vector<std::unique_ptr<HonestNode>>* nodes() const {

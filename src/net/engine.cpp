@@ -68,6 +68,15 @@ public:
         ADBA_EXPECTS_MSG(e_.is_honest(v), "introspection is defined for honest nodes");
         return e_.batch_->decided(v);
     }
+    ObservationPlanes planes() const override {
+        // Batches without SoA introspection planes (PerNodeBatch) leave the
+        // adversary on the per-node calls: all or nothing.
+        const std::uint8_t* decided = e_.batch_->decided_plane();
+        const Bit* value = e_.batch_->value_plane();
+        if (decided == nullptr || value == nullptr) return {};
+        return {e_.buf_.state_plane(), e_.batch_->halted_plane(),
+                e_.buf_.honest_plane(), decided, value};
+    }
     std::optional<Message> corrupt(NodeId v) override { return e_.do_corrupt(v); }
     void deliver_as(NodeId byz_from, NodeId to, const Message& m) override {
         e_.do_deliver(byz_from, to, m);
@@ -146,6 +155,12 @@ void Engine::common_reset(EngineConfig cfg, Adversary& adversary) {
         sparse_.reset(cfg_.n, cfg_.sample_degree, cfg_.sparse_seed,
                       cfg_.sparse_stream);
     }
+    // Sparse sub-dense delivery caps each broadcast's fanout at the sampled
+    // degree; dense sampling keeps the exact flat accounting.
+    fanout_cap_ = cfg_.plane == PlaneMode::Sparse && !sparse_.dense()
+                      ? sparse_.degree()
+                      : kNoFanoutCap;
+    wire_base_ = wire_bits_base(cfg_.n);
     round_ = 0;
     budget_used_ = 0;
     buf_.reset(cfg_.n);
@@ -192,41 +207,40 @@ void Engine::do_deliver(NodeId byz_from, NodeId to, const Message& m) {
 }
 
 void Engine::account_sends() {
-    // Accounting + transcript reflect post-corruption reality: a node
-    // corrupted this round never got its broadcast onto the wire. Honest
-    // receivers that already terminated have left the protocol, so a
-    // broadcast is charged only for the receivers that still take delivery
-    // (Byzantine receivers stay on the wire — the sender cannot know them).
+    // Accounting reflects post-corruption reality (see honest_fanout): one
+    // branch-free census over the state, halted and broadcast planes, then
+    // the closed form — no per-sender charge. Word-payload senders are
+    // counted apart because only they carry the extra word bits.
+    const std::uint8_t* state = buf_.state_plane();
     const std::uint8_t* halted = batch_->halted_plane();
-    NodeId halted_receivers = 0;
-    for (NodeId v = 0; v < cfg_.n; ++v)
-        if (buf_.is_honest(v) && halted[v]) ++halted_receivers;
-    // Sparse sub-dense delivery is receiver-driven: each live receiver pulls
-    // `degree` sampled sender edges, so a broadcast is charged for at most
-    // that many receivers. Dense sampling keeps the exact flat accounting
-    // (min never binds), preserving bit-identical aggregates.
-    const bool sampled =
-        cfg_.plane == PlaneMode::Sparse && !sparse_.dense();
+    const Message* sent = buf_.honest_plane();
+    std::uint32_t senders = 0, flushed = 0, halted_honest = 0;
+    std::uint32_t word_senders = 0, word_flushed = 0;
+    for (NodeId v = 0; v < cfg_.n; ++v) {
+        const std::uint32_t present = state[v] == RoundBuffer::kPresent;
+        const std::uint32_t honest = (state[v] & RoundBuffer::kByzantine) == 0;
+        const std::uint32_t h = halted[v] != 0;
+        const std::uint32_t word = present & carries_word(sent[v].kind);
+        senders += present;
+        flushed += present & h;
+        halted_honest += honest & h;
+        word_senders += word;
+        word_flushed += word & h;
+    }
+    const std::uint64_t fanout =
+        honest_fanout(senders, flushed, halted_honest, cfg_.n, fanout_cap_);
+    const std::uint64_t word_fanout =
+        honest_fanout(word_senders, word_flushed, halted_honest, cfg_.n, fanout_cap_);
+    metrics_.honest_messages += fanout;
+    metrics_.honest_bits += fanout * wire_base_ + word_fanout * kWordPayloadBits;
+
+    if (!transcript_) return;
     for (NodeId v = 0; v < cfg_.n; ++v) {
         if (buf_.is_honest(v)) {
             const Message* m = buf_.broadcast(v);
-            if (transcript_)
-                transcript_->record_send(
-                    v, m ? std::optional<Message>(*m) : std::nullopt, true);
-            if (m) {
-                // A finish-flushing sender that halted during this round's
-                // send is itself a halted receiver; its own exclusion is
-                // already the "- 1", so put it back.
-                const std::uint64_t excluded =
-                    static_cast<std::uint64_t>(halted_receivers) -
-                    (halted[v] ? 1 : 0);
-                std::uint64_t fanout =
-                    static_cast<std::uint64_t>(cfg_.n) - 1 - excluded;
-                if (sampled) fanout = std::min<std::uint64_t>(fanout, sparse_.degree());
-                metrics_.honest_messages += fanout;
-                metrics_.honest_bits += fanout * wire_bits(*m, cfg_.n);
-            }
-        } else if (transcript_) {
+            transcript_->record_send(v, m ? std::optional<Message>(*m) : std::nullopt,
+                                     true);
+        } else {
             transcript_->record_send(v, std::nullopt, false);
         }
     }

@@ -56,6 +56,28 @@ namespace adba::net {
 
 class Engine;
 
+/// Live read-only planes behind RoundControl's observation calls, for
+/// adversaries that scan all n nodes per round. All or nothing: either
+/// every pointer is set or none is (the view converts to false), and then
+/// the per-node virtuals are the only way in. Indexed by node; valid only
+/// inside the Adversary::act that obtained them, and live: a corrupt(v)
+/// earlier in the same act already shows in `state`.
+struct ObservationPlanes {
+    /// RoundBuffer state plane: kByzantine set = corrupted; exactly
+    /// kPresent = honest with a broadcast this round.
+    const std::uint8_t* state = nullptr;
+    /// Batch halted plane (nonzero = halted); meaningful for honest nodes.
+    const std::uint8_t* halted = nullptr;
+    /// Honest broadcasts; an entry is meaningful only where state == kPresent.
+    const Message* broadcasts = nullptr;
+    /// Batch introspection planes (nonzero = decided; the 0/1 value);
+    /// meaningful for honest nodes.
+    const std::uint8_t* decided = nullptr;
+    const Bit* value = nullptr;
+
+    explicit operator bool() const { return state != nullptr; }
+};
+
 /// The adversary's handle for one round: observation plus actions.
 /// Only valid during Adversary::act; do not retain.
 ///
@@ -84,6 +106,12 @@ public:
     /// per-node and SoA protocol implementations alike.
     virtual Bit current_value(NodeId v) const = 0;
     virtual bool current_decided(NodeId v) const = 0;
+    /// The same observations as plane reads, for whole-population scans
+    /// (adversary/observer.hpp wraps both forms). The per-node calls above
+    /// stay the semantic contract: an override must return planes that
+    /// answer exactly as they do. The default — and any control that
+    /// cannot offer every plane — returns the empty view.
+    virtual ObservationPlanes planes() const { return {}; }
 
     // ---- actions ----
     /// Corrupts honest, non-halted v: discards v's broadcast for this round,
@@ -270,6 +298,8 @@ private:
     IntraDispatcher* shard_dispatcher() const;
     std::optional<Message> do_corrupt(NodeId v);
     void do_deliver(NodeId byz_from, NodeId to, const Message& m);
+    /// Charges the round's honest broadcasts to metrics_ in closed form
+    /// (honest_fanout) and records them in the transcript when one is kept.
     void account_sends();
     void run_receives();
 
@@ -286,6 +316,8 @@ private:
     std::vector<bool> honest_mask_;  ///< mirror of buf_ honesty for observers/results
 
     Metrics metrics_;
+    std::uint64_t fanout_cap_ = kNoFanoutCap;  ///< per-broadcast receiver cap
+    std::uint64_t wire_base_ = 0;              ///< wire_bits_base(n), per reset
     std::optional<Transcript> transcript_;
     RoundObserver observer_;
     bool ran_ = false;

@@ -137,6 +137,7 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
 
     kern::LaneAdder a_sent, a_flush, a_halt;
     Count sent_cnt[kFusedLanes], flush_cnt[kFusedLanes], halt_cnt[kFusedLanes];
+    const std::uint64_t wb = wire_bits_base(n);
 
     for (Round r = 0; r < max_rounds && active != 0; ++r) {
         frame_.active = active;
@@ -156,12 +157,10 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
             advs[j]->act(ctl_);
         }
 
-        // Honest traffic accounting in closed form per lane. Scalar charges
-        // each broadcast for n-1 receivers minus the honest-halted ones,
-        // putting the sender's own halted slot back when it flush-halted
-        // this round:   sum(fanout) = S*(n-1-H) + SH
-        // with S = live broadcasts, H = honest halted, SH = halted senders —
-        // all read AFTER corruptions, exactly like Engine::account_sends.
+        // Honest traffic accounting per lane, through the engine's closed
+        // form (honest_fanout): S, SH and H are read AFTER corruptions,
+        // exactly like Engine::account_sends, and fused protocols send
+        // binary kinds only, so no word payload is charged.
         const std::uint64_t* halted = proto.halted_plane();
         a_sent.reset();
         a_flush.reset();
@@ -175,17 +174,10 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
         a_sent.counts(sent_cnt);
         a_flush.counts(flush_cnt);
         a_halt.counts(halt_cnt);
-        Message probe;
-        probe.kind = frame_.kind;
-        probe.phase = frame_.phase;
-        const std::uint64_t wb = wire_bits(probe, n);
         for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
             const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-            // Unsigned wrap-safe: the sum is the exact nonnegative total.
             const std::uint64_t fan =
-                static_cast<std::uint64_t>(sent_cnt[j]) *
-                    (static_cast<std::uint64_t>(n) - 1 - halt_cnt[j]) +
-                flush_cnt[j];
+                honest_fanout(sent_cnt[j], flush_cnt[j], halt_cnt[j], n);
             msgs[j] += fan;
             bits[j] += fan * wb;
         }

@@ -48,16 +48,28 @@ struct Message {
     friend bool operator==(const Message&, const Message&) = default;
 };
 
-/// Size of a message on the wire in bits, for CONGEST accounting:
-/// 4 (kind) + 1 (val) + 1 (flag) + 2 (coin) + phase counter of
-/// ceil(log2(n+1)) bits (phases are bounded by c <= n), plus the word
-/// payload for the multi-valued prelude kinds (a domain value of up to 32
-/// bits; still O(log n) for polynomial domains).
+/// Bits every message carries on the wire, for CONGEST accounting:
+/// 4 (kind) + 1 (val) + 1 (flag) + 2 (coin) + a phase counter of
+/// ceil(log2(n+1)) bits (phases are bounded by c <= n). Depends on n only,
+/// so accounting computes it once per run.
+inline std::uint64_t wire_bits_base(NodeId n) {
+    return 8 + ceil_log2(static_cast<std::uint64_t>(n) + 1);
+}
+
+/// Extra bits of a word-payload message: a domain value of up to 32 bits
+/// (still O(log n) for polynomial domains).
+inline constexpr std::uint64_t kWordPayloadBits = 8 * sizeof(Word);
+
+/// True for the multi-valued prelude kinds, the only ones whose word
+/// payload goes on the wire.
+constexpr bool carries_word(MsgKind kind) {
+    return kind == MsgKind::TCValue || kind == MsgKind::TCEcho;
+}
+
+/// Size of a message on the wire in bits: the base plus the word payload
+/// for the multi-valued prelude kinds.
 inline std::uint64_t wire_bits(const Message& m, NodeId n) {
-    const std::uint64_t base = 8 + ceil_log2(static_cast<std::uint64_t>(n) + 1);
-    if (m.kind == MsgKind::TCValue || m.kind == MsgKind::TCEcho)
-        return base + 8 * sizeof(Word);
-    return base;
+    return wire_bits_base(n) + (carries_word(m.kind) ? kWordPayloadBits : 0);
 }
 
 }  // namespace adba::net

@@ -43,6 +43,13 @@ public:
     std::vector<std::int64_t> get_int_list(const std::string& key,
                                            std::vector<std::int64_t> fallback) const;
 
+    /// Every key an accessor has asked for so far, sorted. Once a binary
+    /// has read all its flags, these are exactly the flags it recognizes
+    /// (`adba_sim --help` prints them).
+    std::vector<std::string> queried() const {
+        return {queried_.begin(), queried_.end()};
+    }
+
     /// Remaining untouched arguments (argv[0] + benchmark flags + positionals).
     const std::vector<std::string>& passthrough() const { return passthrough_; }
 

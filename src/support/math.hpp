@@ -2,6 +2,7 @@
 // closed-form bound curves. Header-only; all constexpr-friendly.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -14,15 +15,10 @@ constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
     return (a + b - 1) / b;
 }
 
-/// ceil(log2(x)) for x >= 1; returns 0 for x == 1.
+/// ceil(log2(x)) for x >= 1; returns 0 for x == 0 and x == 1. O(1) over
+/// the whole uint64 range (x > 2^63 gives 64).
 constexpr std::uint32_t ceil_log2(std::uint64_t x) {
-    std::uint32_t r = 0;
-    std::uint64_t p = 1;
-    while (p < x) {
-        p <<= 1;
-        ++r;
-    }
-    return r;
+    return x <= 1 ? 0 : static_cast<std::uint32_t>(std::bit_width(x - 1));
 }
 
 /// floor(log2(x)) for x >= 1.

@@ -9,10 +9,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "adversary/coin_ruin.hpp"
+#include "adversary/observer.hpp"
+#include "core/common_coin.hpp"
 #include "core/multivalued.hpp"
 #include "net/engine.hpp"
+#include "net/fused_plane.hpp"
+#include "net/sparse_plane.hpp"
 #include "net/round_buffer.hpp"
 #include "rand/rng.hpp"
 #include "rand/seed_tree.hpp"
@@ -524,26 +531,48 @@ TEST(DeliveryPlaneShared, SharedSlotIsCopiedBeforeAWrite) {
     EXPECT_EQ(just3[5], -1);
 }
 
-/// Forwards every RoundControl call except deliver_rows_as, which therefore
-/// runs the base class's per-pair deliver_as loop — the semantic spec.
+/// What a PerPairControl saw: per-pair deliveries and per-node observation
+/// calls.
+struct PerPairCounts {
+    std::uint64_t deliver_as_calls = 0;
+    std::uint64_t observations = 0;
+};
+
+/// Forwards every RoundControl call except deliver_rows_as and planes(). So
+/// deliver_rows_as runs the base class's per-pair deliver_as loop, and
+/// planes() returns the empty view, which leaves the adversary on the
+/// per-node observation calls. Both are the semantic spec.
 class PerPairControl final : public net::RoundControl {
 public:
-    PerPairControl(net::RoundControl& inner, std::uint64_t& deliver_as_calls)
-        : in_(inner), calls_(deliver_as_calls) {}
+    PerPairControl(net::RoundControl& inner, PerPairCounts& counts)
+        : in_(inner), counts_(counts) {}
 
     Round round() const override { return in_.round(); }
     NodeId n() const override { return in_.n(); }
     Count budget_left() const override { return in_.budget_left(); }
-    bool is_honest(NodeId v) const override { return in_.is_honest(v); }
-    bool is_halted(NodeId v) const override { return in_.is_halted(v); }
+    bool is_honest(NodeId v) const override {
+        ++counts_.observations;
+        return in_.is_honest(v);
+    }
+    bool is_halted(NodeId v) const override {
+        ++counts_.observations;
+        return in_.is_halted(v);
+    }
     const Message* intended_broadcast(NodeId v) const override {
+        ++counts_.observations;
         return in_.intended_broadcast(v);
     }
-    Bit current_value(NodeId v) const override { return in_.current_value(v); }
-    bool current_decided(NodeId v) const override { return in_.current_decided(v); }
+    Bit current_value(NodeId v) const override {
+        ++counts_.observations;
+        return in_.current_value(v);
+    }
+    bool current_decided(NodeId v) const override {
+        ++counts_.observations;
+        return in_.current_decided(v);
+    }
     std::optional<Message> corrupt(NodeId v) override { return in_.corrupt(v); }
     void deliver_as(NodeId byz_from, NodeId to, const Message& m) override {
-        ++calls_;
+        ++counts_.deliver_as_calls;
         in_.deliver_as(byz_from, to, m);
     }
     void split_as(NodeId byz_from, const std::optional<Message>& low,
@@ -553,7 +582,7 @@ public:
 
 private:
     net::RoundControl& in_;
-    std::uint64_t& calls_;
+    PerPairCounts& counts_;
 };
 
 class PerPairAdversary final : public net::Adversary {
@@ -561,10 +590,10 @@ public:
     explicit PerPairAdversary(net::Adversary& inner) : in_(inner) {}
     void on_start(NodeId n, Count budget) override { in_.on_start(n, budget); }
     void act(net::RoundControl& ctl) override {
-        PerPairControl per_pair(ctl, deliver_as_calls);
+        PerPairControl per_pair(ctl, counts);
         in_.act(per_pair);
     }
-    std::uint64_t deliver_as_calls = 0;
+    PerPairCounts counts;
 
 private:
     net::Adversary& in_;
@@ -606,8 +635,41 @@ PinnedTrial run_pinned(net::EngineConfig cfg, std::unique_ptr<net::BatchProtocol
         eng.emplace(cfg, std::move(nodes), acting);
     PinnedTrial out;
     out.run = eng->run();
-    out.deliver_as_calls = wrapped.deliver_as_calls;
+    out.deliver_as_calls = wrapped.counts.deliver_as_calls;
     if (!batched) out.nodes = eng->take_nodes();
+    return out;
+}
+
+/// A registry trial assembled the way sim::run_trial assembles it (batch
+/// or node form, engine config from the scenario's plane keys), so a test
+/// can decorate the adversary or the batch before running it.
+struct TrialParts {
+    net::EngineConfig cfg;
+    sim::ProtocolBundle bundle;
+    std::unique_ptr<net::Adversary> adversary;
+};
+
+TrialParts trial_parts(const sim::ScenarioPlan& plan, std::uint64_t seed) {
+    const sim::Scenario& s = plan.scenario;
+    const SeedTree seeds(seed);
+    const std::vector<Bit> inputs = sim::make_inputs(s.inputs, s.n, seeds);
+    TrialParts out;
+    const bool batched = s.use_batch && plan.protocol->make_batch != nullptr;
+    out.bundle = batched ? plan.protocol->make_batch(s, inputs, seeds)
+                         : plan.protocol->make_nodes(s, inputs, seeds);
+    out.adversary = plan.adversary->make_adversary(s, out.bundle, seeds);
+    out.cfg.n = s.n;
+    out.cfg.budget = s.t;
+    out.cfg.max_rounds =
+        s.max_rounds_override ? s.max_rounds_override : out.bundle.default_max_rounds;
+    out.cfg.reference_delivery = s.reference_delivery;
+    out.cfg.simd_tally = s.use_simd;
+    if (s.sparse_plane) {
+        out.cfg.plane = net::PlaneMode::Sparse;
+        out.cfg.sample_degree = s.sample_degree;
+        out.cfg.sparse_seed = seeds.seed(StreamPurpose::SparseTopology, s.sparse_seed);
+        out.cfg.sparse_stream = s.sparse_stream;
+    }
     return out;
 }
 
@@ -615,16 +677,9 @@ PinnedTrial run_pinned(net::EngineConfig cfg, std::unique_ptr<net::BatchProtocol
 /// builds it.
 PinnedTrial run_binary_trial(const sim::ScenarioPlan& plan, std::uint64_t seed,
                              bool per_pair) {
-    const sim::Scenario& s = plan.scenario;
-    const SeedTree seeds(seed);
-    const std::vector<Bit> inputs = sim::make_inputs(s.inputs, s.n, seeds);
-    sim::ProtocolBundle bundle = plan.protocol->make_batch(s, inputs, seeds);
-    const auto adversary = plan.adversary->make_adversary(s, bundle, seeds);
-    net::EngineConfig cfg;
-    cfg.n = s.n;
-    cfg.budget = s.t;
-    cfg.max_rounds = bundle.default_max_rounds;
-    return run_pinned(cfg, std::move(bundle.batch), {}, *adversary, per_pair);
+    TrialParts parts = trial_parts(plan, seed);
+    return run_pinned(parts.cfg, std::move(parts.bundle.batch),
+                      std::move(parts.bundle.nodes), *parts.adversary, per_pair);
 }
 
 TEST(DeliveryPlaneShared, WorstCaseRowsMatchPerPairDefault) {
@@ -656,24 +711,35 @@ TEST(DeliveryPlaneShared, WorstCaseRowsMatchPerPairDefault) {
     }
 }
 
-TEST(DeliveryPlaneShared, TcPreludeRowsMatchPerPairDefault) {
+/// The multi-valued scenario the prelude tests share: prelude + worst case
+/// at n=64, t=21, q=12 (6 prelude corruptions, 6 for the inner worst case).
+sim::MvScenario prelude_scenario() {
     sim::MvScenario s;
     s.n = 64;
     s.t = 21;
-    s.q = 12;  // 6 prelude corruptions, 6 for the inner worst case
+    s.q = 12;
     s.adversary = sim::MvAdversaryKind::PreludePlusWorstCase;
+    return s;
+}
+
+/// Near-quorum word inputs for prelude_scenario() that arm the prelude's
+/// boundary split (39 honest holders of the plurality word:
+/// 39 < n-t = 43 <= 39 + 6).
+std::vector<net::Word> armed_prelude_inputs(NodeId n) {
+    std::vector<net::Word> inputs(n);
+    for (NodeId v = 0; v < n; ++v) inputs[v] = v < 39 ? 0xAAAA : 0x2000u + v;
+    return inputs;
+}
+
+TEST(DeliveryPlaneShared, TcPreludeRowsMatchPerPairDefault) {
+    const sim::MvScenario s = prelude_scenario();
     const sim::MvScenarioPlan plan = sim::validate(s);
-    // Near-quorum inputs arm the prelude's boundary split (39 honest holders
-    // of the plurality word: 39 < n-t = 43 <= 39 + 6); two blocks of 32
-    // leave it unarmed, so round 1 takes the per-sender broadcast form.
+    // Two blocks of 32 leave the boundary split unarmed, so round 1 takes
+    // the per-sender broadcast form.
     for (const bool armed : {true, false}) {
-        std::vector<net::Word> inputs(s.n);
-        for (NodeId v = 0; v < s.n; ++v) {
-            if (armed)
-                inputs[v] = v < 39 ? 0xAAAA : 0x2000u + v;
-            else
-                inputs[v] = v < s.n / 2 ? 0xAAAA : 0xBBBB;
-        }
+        std::vector<net::Word> inputs = armed_prelude_inputs(s.n);
+        if (!armed)
+            for (NodeId v = 0; v < s.n; ++v) inputs[v] = v < s.n / 2 ? 0xAAAA : 0xBBBB;
         for (std::uint64_t seed = 1; seed <= 3; ++seed) {
             SCOPED_TRACE(std::string(armed ? "armed" : "unarmed") + " seed " +
                          std::to_string(seed));
@@ -714,6 +780,450 @@ TEST(DeliveryPlaneShared, FusedStillDeclinesWorstCase) {
                         "lane-masked split_as bridge"),
               std::string::npos)
         << *why;
+}
+
+TEST(DeliveryPlaneShared, FusedLaneControlOffersNoPlanes) {
+    // The lane bridge holds bit-sliced planes, not byte planes: adversaries
+    // on the fused plane always read through the per-node calls.
+    const net::FusedLaneControl lane_ctl;
+    EXPECT_FALSE(lane_ctl.planes());
+}
+
+// ---------------------------------------------------------------------------
+// Plane view: RoundControl::planes() and adv::Observer against the per-node
+// observation calls.
+
+/// Test-only batch: a PerNodeBatch that also materializes value/decided
+/// byte planes after every beat, so the per-node protocols (coin,
+/// Turpin–Coan, sampling-majority) reach the plane view too.
+class PlanedBatch final : public net::BatchProtocol {
+public:
+    explicit PlanedBatch(std::vector<std::unique_ptr<net::HonestNode>> nodes)
+        : in_(std::move(nodes)) {
+        refresh();
+    }
+
+    NodeId n() const override { return in_.n(); }
+    void send_all(Round r, net::RoundBuffer& buf) override {
+        in_.send_all(r, buf);
+        refresh();
+    }
+    void receive_all(Round r, const net::RoundBuffer& buf,
+                     const net::RoundTally& tally) override {
+        in_.receive_all(r, buf, tally);
+        refresh();
+    }
+    void receive_all(Round r, const net::RoundBuffer& buf,
+                     const net::DeliverySource& src) override {
+        in_.receive_all(r, buf, src);
+        refresh();
+    }
+    const std::uint8_t* halted_plane() const override { return in_.halted_plane(); }
+    Bit value(NodeId v) const override { return in_.value(v); }
+    bool decided(NodeId v) const override { return in_.decided(v); }
+    Bit output(NodeId v) const override { return in_.output(v); }
+    const Bit* value_plane() const override { return value_.data(); }
+    const std::uint8_t* decided_plane() const override { return decided_.data(); }
+
+private:
+    void refresh() {
+        value_.resize(in_.n());
+        decided_.resize(in_.n());
+        for (NodeId v = 0; v < in_.n(); ++v) {
+            value_[v] = in_.value(v);
+            decided_[v] = in_.decided(v) ? 1 : 0;
+        }
+    }
+
+    net::PerNodeBatch in_;
+    std::vector<Bit> value_;
+    std::vector<std::uint8_t> decided_;
+};
+
+/// Acts through the plane's own control and records whether it offered
+/// planes on every round.
+class PlaneProbe final : public net::Adversary {
+public:
+    explicit PlaneProbe(net::Adversary& inner) : in_(inner) {}
+    void on_start(NodeId n, Count budget) override { in_.on_start(n, budget); }
+    void act(net::RoundControl& ctl) override {
+        offered = offered && static_cast<bool>(ctl.planes());
+        in_.act(ctl);
+    }
+    bool offered = true;
+
+private:
+    net::Adversary& in_;
+};
+
+/// Runs one adversary twice over identically built protocols: once on the
+/// engine's control (plane view) and once through PerPairControl (per-node
+/// calls). `make` returns a fresh (engine config, batch, adversary) each
+/// time. Requires every RunResult field equal; returns the per-node
+/// observation calls the fallback run made.
+template <typename Make>
+std::uint64_t expect_plane_view_matches_per_node(Make&& make, const std::string& what) {
+    SCOPED_TRACE(what);
+    auto [cfg_a, batch_a, adv_a] = make();
+    PlaneProbe probe(*adv_a);
+    net::Engine eng_a(cfg_a, std::move(batch_a), probe);
+    const net::RunResult planes = eng_a.run();
+    EXPECT_TRUE(probe.offered) << "the engine must offer planes over a SoA batch";
+
+    auto [cfg_b, batch_b, adv_b] = make();
+    PerPairAdversary per_node(*adv_b);
+    net::Engine eng_b(cfg_b, std::move(batch_b), per_node);
+    const net::RunResult calls = eng_b.run();
+
+    expect_runs_eq(planes, calls);
+    return per_node.counts.observations;
+}
+
+using BatchTrial =
+    std::tuple<net::EngineConfig, std::unique_ptr<net::BatchProtocol>,
+               std::unique_ptr<net::Adversary>>;
+
+/// A registry binary trial in batch form; per-node protocols are wrapped in
+/// PlanedBatch so the engine can offer planes for them as well.
+BatchTrial binary_batch_trial(const sim::ScenarioPlan& plan, std::uint64_t seed) {
+    TrialParts parts = trial_parts(plan, seed);
+    std::unique_ptr<net::BatchProtocol> batch =
+        parts.bundle.batch ? std::move(parts.bundle.batch)
+                           : std::make_unique<PlanedBatch>(std::move(parts.bundle.nodes));
+    return {parts.cfg, std::move(batch), std::move(parts.adversary)};
+}
+
+TEST(PlaneView, EveryPortedAdversaryMatchesPerNodeCalls) {
+    const char* specs[] = {
+        "protocol=ours adversary=worst-case n=1024 t=16 inputs=split",
+        "protocol=chor-coan-rushing adversary=worst-case n=1024 t=16 inputs=split",
+        "protocol=ours adversary=balancer n=256 t=40 inputs=split",
+        "protocol=sampling-majority adversary=balancer n=256 t=40 inputs=split",
+        "protocol=ours adversary=chaos n=64 t=21 inputs=split",
+        "protocol=ben-or adversary=chaos n=64 t=12 inputs=random",
+        "protocol=phase-king adversary=chaos n=65 t=16 inputs=split",
+        "protocol=ours adversary=crash-random n=64 t=21 inputs=split",
+        "protocol=ours adversary=crash-targeted-coin n=256 t=40 inputs=split",
+    };
+    for (const char* spec : specs) {
+        const sim::ScenarioPlan plan = sim::validate(sim::Scenario::parse(spec));
+        std::uint64_t observations = 0;
+        for (std::uint64_t seed = 1; seed <= 3; ++seed)
+            observations += expect_plane_view_matches_per_node(
+                [&] { return binary_batch_trial(plan, seed); },
+                std::string(spec) + " seed " + std::to_string(seed));
+        // Random strategies may sit a whole trial out; not all three.
+        EXPECT_GT(observations, 0u) << spec << ": the fallback must read per node";
+    }
+}
+
+TEST(PlaneView, CoinRuinMatchesPerNodeCalls) {
+    for (const auto attack : {adv::CoinAttack::Split, adv::CoinAttack::ForceBit}) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            const auto make = [&]() -> BatchTrial {
+                const core::CoinConfig coin{256, 64};
+                net::EngineConfig cfg;
+                cfg.n = coin.n;
+                cfg.budget = 6;
+                cfg.max_rounds = 1;
+                return {cfg,
+                        std::make_unique<PlanedBatch>(
+                            core::make_coin_nodes(coin, SeedTree(seed))),
+                        std::make_unique<adv::CoinRuinAdversary>(
+                            adv::CoinRuinConfig{coin.designated, 6, attack, 1})};
+            };
+            EXPECT_GT(expect_plane_view_matches_per_node(
+                          make, "coin attack " +
+                                    std::to_string(static_cast<int>(attack)) +
+                                    " seed " + std::to_string(seed)),
+                      0u);
+        }
+    }
+}
+
+TEST(PlaneView, TcPreludeMatchesPerNodeCalls) {
+    const sim::MvScenario s = prelude_scenario();
+    const sim::MvScenarioPlan plan = sim::validate(s);
+    const std::vector<net::Word> inputs = armed_prelude_inputs(s.n);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const auto make = [&]() -> BatchTrial {
+            const SeedTree seeds(seed);
+            net::EngineConfig cfg;
+            cfg.n = s.n;
+            cfg.budget = s.t;
+            cfg.max_rounds = plan.cap;
+            return {cfg,
+                    std::make_unique<PlanedBatch>(
+                        core::make_turpin_coan_nodes(plan.params, inputs, seeds)),
+                    plan.adversary->make_adversary(s, plan.params, seeds)};
+        };
+        EXPECT_GT(
+            expect_plane_view_matches_per_node(make, "prelude seed " + std::to_string(seed)),
+            0u);
+    }
+}
+
+/// Checks, every round, that RoundControl::planes() and Observer answer
+/// exactly as the per-node calls, before and after a corruption made in
+/// the same act (the planes are live). Returns how many honest nodes the
+/// scans found silent.
+std::uint64_t check_planes_against_calls(net::EngineConfig cfg,
+                                         std::unique_ptr<net::BatchProtocol> batch) {
+    constexpr Round kCorruptingRounds = 2;
+    Round rounds_checked = 0;
+    std::uint64_t silent_honest = 0;
+    ScriptAdversary adv([&](net::RoundControl& ctl) {
+        const net::ObservationPlanes p = ctl.planes();
+        ASSERT_TRUE(p);
+        const adv::Observer obs(ctl);
+        const auto agree = [&] {
+            for (NodeId v = 0; v < ctl.n(); ++v) {
+                ASSERT_EQ(obs.honest(v), ctl.is_honest(v)) << v;
+                ASSERT_EQ(obs.halted(v), ctl.is_halted(v)) << v;
+                ASSERT_EQ(obs.live(v), ctl.is_honest(v) && !ctl.is_halted(v)) << v;
+                if (!ctl.is_honest(v)) continue;
+                ASSERT_EQ(obs.broadcast(v), ctl.intended_broadcast(v)) << v;
+                ASSERT_EQ(obs.value(v), ctl.current_value(v)) << v;
+                ASSERT_EQ(obs.decided(v), ctl.current_decided(v)) << v;
+                if (ctl.intended_broadcast(v) == nullptr) ++silent_honest;
+            }
+        };
+        agree();
+        if (ctl.round() < kCorruptingRounds) {
+            const NodeId victim = 2 * ctl.round() + 1;  // not yet touched
+            ASSERT_TRUE(obs.live(victim));
+            ASSERT_NE(obs.broadcast(victim), nullptr);
+            ctl.corrupt(victim);
+            EXPECT_NE(p.state[victim] & net::RoundBuffer::kByzantine, 0);
+            EXPECT_FALSE(obs.honest(victim));
+            agree();
+        }
+        ++rounds_checked;
+    });
+    cfg.budget = kCorruptingRounds;
+    net::Engine eng(cfg, std::move(batch), adv);
+    const net::RunResult res = eng.run();
+    EXPECT_EQ(rounds_checked, res.rounds);
+    EXPECT_EQ(res.metrics.corruptions, std::min(res.rounds, kCorruptingRounds));
+    return silent_honest;
+}
+
+TEST(PlaneView, PlanesAreLiveAndAgreeWithPerNodeCalls) {
+    // The skeleton's own SoA planes...
+    const sim::ScenarioPlan plan = sim::validate(
+        sim::Scenario::parse("protocol=ours adversary=none n=64 t=21 inputs=split"));
+    auto [cfg, batch, unused] = binary_batch_trial(plan, 4);
+    check_planes_against_calls(cfg, std::move(batch));
+
+    // ...and staggered lifetimes, so halted honest nodes (silent, state
+    // plane 0) are scanned next to live ones.
+    std::vector<std::unique_ptr<net::HonestNode>> nodes;
+    for (NodeId v = 0; v < 16; ++v) nodes.push_back(std::make_unique<InboxNode>(v, 3 + v % 4));
+    EXPECT_GT(check_planes_against_calls({16, 0, 8, false},
+                                         std::make_unique<PlanedBatch>(std::move(nodes))),
+              0u)
+        << "no halted honest node was scanned";
+}
+
+TEST(PlaneView, PerNodeBatchOffersNoPlanes) {
+    // The adapter has no SoA value/decided planes: all or nothing, so the
+    // engine offers none and Observer falls back to the per-node calls.
+    int acts = 0;
+    ScriptAdversary adv([&](net::RoundControl& ctl) {
+        EXPECT_FALSE(ctl.planes());
+        const adv::Observer obs(ctl);
+        EXPECT_TRUE(obs.live(1));
+        EXPECT_EQ(obs.broadcast(1), ctl.intended_broadcast(1));
+        ++acts;
+    });
+    net::Engine eng({4, 0, 2, false}, inbox_nodes(4, 2, nullptr), adv);
+    eng.run();
+    EXPECT_EQ(acts, 2);
+}
+
+TEST(PlaneView, ObserverKeepsThePerNodePreconditions) {
+    // Same ContractViolation messages on both paths: the plane view is an
+    // access path, not a weaker contract.
+    const sim::ScenarioPlan plan = sim::validate(
+        sim::Scenario::parse("protocol=ours adversary=none n=16 t=5 inputs=split"));
+    for (const bool per_node : {false, true}) {
+        SCOPED_TRACE(per_node ? "per-node calls" : "plane view");
+        auto [cfg, batch, unused] = binary_batch_trial(plan, 1);
+        cfg.budget = 1;
+        cfg.max_rounds = 1;
+        ScriptAdversary script([&](net::RoundControl& ctl) {
+            const adv::Observer obs(ctl);
+            ctl.corrupt(3);
+            const auto expect_violation = [](auto&& call, const std::string& needle) {
+                try {
+                    call();
+                    ADD_FAILURE() << "expected a ContractViolation: " << needle;
+                } catch (const ContractViolation& e) {
+                    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+                        << e.what();
+                }
+            };
+            expect_violation([&] { obs.broadcast(3); },
+                             "only honest nodes have intended broadcasts");
+            expect_violation([&] { obs.value(3); },
+                             "introspection is defined for honest nodes");
+            expect_violation([&] { obs.decided(3); },
+                             "introspection is defined for honest nodes");
+            expect_violation([&] { obs.honest(16); }, "v <");
+        });
+        PerPairAdversary wrapped(script);
+        net::Adversary& acting = per_node ? static_cast<net::Adversary&>(wrapped) : script;
+        net::Engine eng(cfg, std::move(batch), acting);
+        eng.run();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Accounting oracle: Engine::account_sends charges honest traffic in closed
+// form (net::honest_fanout). The per-sender charge it replaced lives on
+// here as the reference.
+
+/// Decorates an adversary: after the inner act(), recomputes the round's
+/// honest charge sender by sender from the post-corruption per-node reads,
+/// with the sparse sub-dense cap, exactly as the engine charged it before.
+class AccountingOracle final : public net::Adversary {
+public:
+    AccountingOracle(net::Adversary& inner, const net::EngineConfig& cfg) : in_(inner) {
+        const Count want = cfg.sample_degree ? cfg.sample_degree : net::kDefaultSampleDegree;
+        sampled_ = cfg.plane == net::PlaneMode::Sparse && want < cfg.n;
+        degree_ = want;
+    }
+    void on_start(NodeId n, Count budget) override { in_.on_start(n, budget); }
+    void act(net::RoundControl& ctl) override {
+        in_.act(ctl);
+        const NodeId n = ctl.n();
+        NodeId halted_receivers = 0;
+        for (NodeId v = 0; v < n; ++v)
+            if (ctl.is_honest(v) && ctl.is_halted(v)) ++halted_receivers;
+        for (NodeId v = 0; v < n; ++v) {
+            if (!ctl.is_honest(v)) continue;
+            const Message* m = ctl.intended_broadcast(v);
+            if (m == nullptr) continue;
+            // A finish-flushing sender that halted during this round's
+            // send is itself a halted receiver; put its own slot back.
+            const std::uint64_t excluded =
+                static_cast<std::uint64_t>(halted_receivers) - (ctl.is_halted(v) ? 1 : 0);
+            std::uint64_t fanout = static_cast<std::uint64_t>(n) - 1 - excluded;
+            if (sampled_ && fanout > degree_) {
+                fanout = degree_;
+                ++capped;
+            }
+            messages += fanout;
+            bits += fanout * net::wire_bits(*m, n);
+            if (ctl.is_halted(v)) ++flushed;
+            if (net::carries_word(m->kind)) ++word_senders;
+        }
+    }
+
+    std::uint64_t messages = 0;
+    std::uint64_t bits = 0;
+    std::uint64_t flushed = 0;       ///< flush-halting broadcasts seen
+    std::uint64_t word_senders = 0;  ///< word-payload broadcasts seen
+    std::uint64_t capped = 0;        ///< broadcasts the sparse cap cut
+
+private:
+    net::Adversary& in_;
+    bool sampled_ = false;
+    std::uint64_t degree_ = 0;
+};
+
+/// Runs one registry trial with the oracle wrapped around its adversary
+/// and checks the engine's closed-form charge against it.
+AccountingOracle expect_accounting_matches_oracle(const std::string& spec,
+                                                  std::uint64_t seed) {
+    SCOPED_TRACE(spec + " seed " + std::to_string(seed));
+    const sim::ScenarioPlan plan = sim::validate(sim::Scenario::parse(spec));
+    TrialParts parts = trial_parts(plan, seed);
+    AccountingOracle oracle(*parts.adversary, parts.cfg);
+    const net::RunResult res = run_pinned(parts.cfg, std::move(parts.bundle.batch),
+                                          std::move(parts.bundle.nodes), oracle, false)
+                                   .run;
+    EXPECT_EQ(res.metrics.honest_messages, oracle.messages);
+    EXPECT_EQ(res.metrics.honest_bits, oracle.bits);
+    EXPECT_GT(oracle.messages, 0u);
+    // The hand-built trial is the runner's trial.
+    const sim::TrialResult runner = sim::run_trial(plan, seed);
+    EXPECT_EQ(runner.metrics.honest_messages, res.metrics.honest_messages);
+    EXPECT_EQ(runner.metrics.honest_bits, res.metrics.honest_bits);
+    return oracle;
+}
+
+TEST(AccountingOracle, ClosedFormMatchesPerSenderCharge) {
+    std::uint64_t flushed = 0, capped = 0;
+    // The flat plane, the dense and sub-dense sparse plane, and the two
+    // oracle paths, at sizes where each stays fast.
+    const char* planes[] = {
+        "n=4096 t=64",
+        "n=1024 t=16 plane=sparse sample_degree=1024",
+        "n=1024 t=16 plane=sparse sample_degree=128",
+        "n=512 t=16 reference=true",
+        "n=512 t=16 batch=false",
+    };
+    for (const char* protocol : {"ours", "chor-coan-rushing"}) {
+        for (const char* plane : planes) {
+            const std::string spec = std::string("protocol=") + protocol +
+                                     " adversary=worst-case inputs=split " + plane;
+            for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+                const AccountingOracle o = expect_accounting_matches_oracle(spec, seed);
+                flushed += o.flushed;
+                capped += o.capped;
+            }
+        }
+    }
+    // Flush-halting protocols corrupted mid-run: Ben-Or under chaos, and the
+    // skeleton under random crashes on the sub-dense sparse plane.
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        flushed += expect_accounting_matches_oracle(
+                       "protocol=ben-or adversary=chaos n=64 t=12 inputs=random", seed)
+                       .flushed;
+        flushed += expect_accounting_matches_oracle(
+                       "protocol=ours adversary=crash-random n=64 t=21 inputs=split "
+                       "plane=sparse sample_degree=16",
+                       seed)
+                       .flushed;
+    }
+    EXPECT_GT(flushed, 0u) << "no flush-halting broadcast was charged";
+    EXPECT_GT(capped, 0u) << "the sub-dense cap never bound";
+}
+
+TEST(AccountingOracle, WordPayloadKindsMatchPerSenderCharge) {
+    // The Turpin–Coan prelude's TCValue/TCEcho carry the word payload: the
+    // closed form must charge it for exactly those senders.
+    const sim::MvScenario s = prelude_scenario();
+    const sim::MvScenarioPlan plan = sim::validate(s);
+    const std::vector<net::Word> inputs = armed_prelude_inputs(s.n);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const SeedTree seeds(seed);
+        const auto adversary = plan.adversary->make_adversary(s, plan.params, seeds);
+        net::EngineConfig cfg;
+        cfg.n = s.n;
+        cfg.budget = s.t;
+        cfg.max_rounds = plan.cap;
+        AccountingOracle oracle(*adversary, cfg);
+        net::Engine eng(cfg, core::make_turpin_coan_nodes(plan.params, inputs, seeds),
+                        oracle);
+        const net::RunResult res = eng.run();
+        EXPECT_EQ(res.metrics.honest_messages, oracle.messages);
+        EXPECT_EQ(res.metrics.honest_bits, oracle.bits);
+        EXPECT_GT(oracle.word_senders, 0u);
+    }
+}
+
+TEST(AccountingOracle, HonestFanoutClosedForm) {
+    // S*(n-1-H) + SH uncapped; per-class caps when sampled.
+    EXPECT_EQ(net::honest_fanout(10, 0, 0, 10), 90u);
+    EXPECT_EQ(net::honest_fanout(6, 2, 4, 10), 6u * 5u + 2u);
+    EXPECT_EQ(net::honest_fanout(6, 2, 4, 10, 5), 4u * 5u + 2u * 5u);
+    EXPECT_EQ(net::honest_fanout(6, 2, 4, 10, 4), 6u * 4u);
+    // Everyone halted and honest: flushed senders reach nobody, no wrap.
+    EXPECT_EQ(net::honest_fanout(3, 3, 10, 10), 0u);
+    EXPECT_EQ(net::honest_fanout(0, 0, 10, 10, 4), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -56,6 +56,20 @@ TEST(Math, CeilLog2) {
     EXPECT_EQ(ceil_log2(1025), 11u);
 }
 
+TEST(Math, CeilLog2FullRange) {
+    // Past 2^63 a doubling loop's probe wraps to 0 and never terminates;
+    // the closed form covers every uint64.
+    constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+    EXPECT_EQ(ceil_log2(0), 0u);
+    EXPECT_EQ(ceil_log2(1), 0u);
+    EXPECT_EQ(ceil_log2(std::uint64_t{1} << 32), 32u);
+    EXPECT_EQ(ceil_log2((std::uint64_t{1} << 32) + 1), 33u);
+    EXPECT_EQ(ceil_log2(kTop), 63u);
+    EXPECT_EQ(ceil_log2(kTop + 1), 64u);
+    EXPECT_EQ(ceil_log2(UINT64_MAX), 64u);
+    static_assert(ceil_log2(kTop + 1) == 64);
+}
+
 TEST(Math, FloorLog2) {
     EXPECT_EQ(floor_log2(1), 0u);
     EXPECT_EQ(floor_log2(2), 1u);
@@ -336,6 +350,17 @@ TEST(Cli, CheckUnusedPassesWhenEveryFlagWasQueried) {
     cli.get_int("trials", 0);
     cli.get_int("threads", 1);  // queried-but-absent flags are fine
     EXPECT_NO_THROW(cli.check_unused());
+}
+
+TEST(Cli, QueriedListsEveryAskedKeySorted) {
+    // `adba_sim --help` prints this set: present or not, a key an accessor
+    // asked for is a flag the binary recognizes.
+    const char* argv[] = {"prog", "--help"};
+    Cli cli(2, const_cast<char**>(argv));
+    cli.get_int("trials", 20);
+    cli.has("n");
+    EXPECT_TRUE(cli.get_bool("help", false));
+    EXPECT_EQ(cli.queried(), (std::vector<std::string>{"help", "n", "trials"}));
 }
 
 TEST(Cli, CheckUnusedFailsLoudlyOnTypo) {

@@ -24,7 +24,8 @@
 //        --sparse_stream=chain|counter --fused=on|off --las_vegas --fallback
 //        --k --f --attack --forced_bit --schedule --list
 //        --watchdog_ms --chunk --checkpoint --resume
-//        --faults="key=value ..." --mem_budget_mb
+//        --faults="key=value ..." --mem_budget_mb --help
+// `--help` prints the flags the selected workload recognizes and exits 0.
 // Unknown flags (and unknown workload/protocol/adversary names) fail loudly
 // with did-you-mean suggestions (Cli strict mode + registry lookups).
 #include <cstdio>
@@ -107,6 +108,21 @@ double pct(Count good, Count total) {
     return total == 0 ? 0.0 : 100.0 * static_cast<double>(good) / total;
 }
 
+/// --help: called by each driver after its last flag read and before
+/// check_unused(), where the queried keys are exactly the flags that
+/// driver recognizes (flags it only reads to reject come after this call).
+/// Prints them and tells the caller to stop.
+bool help_requested(const Cli& cli, const char* workload) {
+    if (!cli.get_bool("help", false)) return false;
+    std::printf("usage: adba_sim --workload=%s [--flag=value ...]\n"
+                "recognized flags:",
+                workload);
+    for (const std::string& key : cli.queried()) std::printf(" --%s", key.c_str());
+    std::printf("\n(--list prints the registered workloads, protocols and "
+                "adversaries)\n");
+    return true;
+}
+
 /// Per-run executor knobs shared by every driver: --chunk fixes the work
 /// unit (0 = auto), --checkpoint=path arms the chunk journal, --resume
 /// loads completed chunks from it instead of re-running them.
@@ -123,12 +139,6 @@ sim::ExecutorConfig exec_config(const Cli& cli) {
 }
 
 int run_multivalued(const Cli& cli) {
-    if (cli.has("fused"))
-        throw ContractViolation(
-            "--fused co-executes 64 binary trials per machine word; the "
-            "multi-valued stack has no fused plane (the Turpin-Coan word "
-            "histograms do not bit-slice) — drop the flag or use "
-            "--workload=binary");
     sim::MvScenario s;
     if (cli.has("scenario")) s = sim::MvScenario::parse(cli.get("scenario", ""));
     if (cli.has("n") || s.n == 0) s.n = static_cast<NodeId>(cli.get_int("n", 96));
@@ -161,6 +171,13 @@ int run_multivalued(const Cli& cli) {
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");  // queried late by maybe_csv; recognize it now
+    if (help_requested(cli, "mv")) return 0;
+    if (cli.has("fused"))
+        throw ContractViolation(
+            "--fused co-executes 64 binary trials per machine word; the "
+            "multi-valued stack has no fused plane (the Turpin-Coan word "
+            "histograms do not bit-slice) — drop the flag or use "
+            "--workload=binary");
     cli.check_unused();      // fail on typos BEFORE burning trial time
 
     // The spec round-trips: parse(describe(s)) == s (pinned in tests).
@@ -191,16 +208,6 @@ int run_multivalued(const Cli& cli) {
 }
 
 int run_coin(const Cli& cli) {
-    if (cli.has("plane") || cli.has("sample_degree"))
-        throw ContractViolation(
-            "--plane/--sample_degree select the binary stack's delivery plane; "
-            "the standalone coin workload has no delivery plane (drop the flag "
-            "or use --workload=binary)");
-    if (cli.has("fused"))
-        throw ContractViolation(
-            "--fused selects the binary stack's 64-lane trial plane; the "
-            "standalone coin workload has no fused plane (drop the flag or "
-            "use --workload=binary)");
     sim::CoinScenario s;
     s.n = static_cast<NodeId>(cli.get_int("n", 256));
     s.designated = static_cast<NodeId>(cli.get_int("k", s.n));  // == n: Algorithm 1
@@ -211,6 +218,17 @@ int run_coin(const Cli& cli) {
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");
+    if (help_requested(cli, "coin")) return 0;
+    if (cli.has("plane") || cli.has("sample_degree"))
+        throw ContractViolation(
+            "--plane/--sample_degree select the binary stack's delivery plane; "
+            "the standalone coin workload has no delivery plane (drop the flag "
+            "or use --workload=binary)");
+    if (cli.has("fused"))
+        throw ContractViolation(
+            "--fused selects the binary stack's 64-lane trial plane; the "
+            "standalone coin workload has no fused plane (drop the flag or "
+            "use --workload=binary)");
     cli.check_unused();
 
     std::string label = "n=" + std::to_string(s.n) + " k=" +
@@ -239,11 +257,6 @@ int run_coin(const Cli& cli) {
 }
 
 int run_macro(const Cli& cli) {
-    if (cli.has("fused"))
-        throw ContractViolation(
-            "--fused selects the binary stack's 64-lane trial plane; the "
-            "macro asymptotic simulator steps counts, not bit planes (drop "
-            "the flag or use --workload=binary)");
     sim::MacroScenario s;
     s.n = static_cast<std::uint64_t>(cli.get_int("n", 1 << 16));
     s.t = static_cast<std::uint64_t>(cli.get_int("t", 256));
@@ -253,6 +266,12 @@ int run_macro(const Cli& cli) {
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");
+    if (help_requested(cli, "macro")) return 0;
+    if (cli.has("fused"))
+        throw ContractViolation(
+            "--fused selects the binary stack's 64-lane trial plane; the "
+            "macro asymptotic simulator steps counts, not bit planes (drop "
+            "the flag or use --workload=binary)");
     cli.check_unused();
 
     const std::string label = "n=" + std::to_string(s.n) + " t=" +
@@ -342,6 +361,7 @@ int run_binary(const Cli& cli) {
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");  // queried late by maybe_csv; recognize it now
+    if (help_requested(cli, "binary")) return 0;
     cli.check_unused();      // fail on typos BEFORE burning trial time
 
     const sim::ScenarioPlan plan = sim::validate(s);
