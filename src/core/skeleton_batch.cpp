@@ -1,5 +1,7 @@
 #include "core/skeleton_batch.hpp"
 
+#include <algorithm>
+
 #include "support/contracts.hpp"
 
 namespace adba::core {
@@ -40,8 +42,12 @@ void SkeletonBatch::send_all(Round r, net::RoundBuffer& buf) {
 }
 
 void SkeletonBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId hi) {
+    constexpr NodeId kWord = net::kern::kWordBits;
+    ADBA_EXPECTS_MSG(lo % kWord == 0 && (hi % kWord == 0 || hi == cfg_.n),
+                     "send ranges are word-aligned");
     const Phase p = r / 2;
     const bool round2 = (r % 2) != 0;
+    const net::MsgKind kind = round2 ? net::MsgKind::Vote2 : net::MsgKind::Vote1;
     const std::uint8_t* state = buf.state_plane();
 
     // Committee membership is an ID range; hoist it out of the node loop
@@ -54,77 +60,193 @@ void SkeletonBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId
         flip_last = range.second;
     }
 
-    net::Message m;
-    m.phase = p;
-    m.kind = round2 ? net::MsgKind::Vote2 : net::MsgKind::Vote1;
-    for (NodeId v = lo; v < hi; ++v) {
-        if ((state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v]) continue;
-        m.val = val_[v];
-        m.flag = decided_[v] ? 1 : 0;
-        m.coin = 0;
-        if (round2) {
-            // Flip regardless of this node's own case: the flip is drawn
-            // before any round-2 delivery is seen (Lemma 5 independence).
-            // Stream v is private to v, so a shard draws exactly what the
-            // serial sweep would.
-            if (v >= flip_first && v < flip_last) m.coin = rng_[v].sign();
-            if (flushing_[v]) halted_[v] = 1;  // second flush broadcast done
+    // One 64-sender word at a time, eight nodes per step: the byte planes
+    // are read eight bytes at once and their 0/1 bytes gathered into the
+    // word's presence, value and decided bits — no branch per node. Shards
+    // own disjoint words. Raw plane pointers: a byte store may alias any
+    // member.
+    using net::kern::gather_low_bits8;
+    using net::kern::kByteLowBits;
+    using net::kern::load_bytes8;
+    const Bit* val = val_.data();
+    const std::uint8_t* decided = decided_.data();
+    const std::uint8_t* flushing = flushing_.data();
+    std::uint8_t* halted = halted_.data();
+    for (NodeId v0 = lo; v0 < hi; v0 += kWord) {
+        const NodeId v1 = std::min<NodeId>(hi, v0 + kWord);
+        net::RoundBuffer::SendWord sw;
+        NodeId v = v0;
+        for (; v + 8 <= v1; v += 8) {
+            // kByzantine is bit 1 of a state byte; halted bytes are 0/1.
+            const std::uint64_t dead =
+                ((load_bytes8(state + v) >> 1) | load_bytes8(halted + v)) & kByteLowBits;
+            const std::uint64_t live = dead ^ kByteLowBits;
+            const unsigned i = v - v0;
+            sw.present |= gather_low_bits8(live) << i;
+            sw.val |= gather_low_bits8(load_bytes8(val + v)) << i;
+            sw.flag |= gather_low_bits8(load_bytes8(decided + v)) << i;
+            // A flushing node's second flush broadcast is this one: halt.
+            if (round2)
+                net::kern::store_bytes8(halted + v, load_bytes8(halted + v) |
+                                                        (live & load_bytes8(flushing + v)));
         }
-        buf.set_broadcast(v, m);
+        for (; v < v1; ++v) {  // the last word's tail when n % 8 != 0
+            const std::uint64_t live =
+                ((state[v] & net::RoundBuffer::kByzantine) | halted[v]) == 0;
+            const unsigned i = v - v0;
+            sw.present |= live << i;
+            sw.val |= std::uint64_t{val[v]} << i;
+            sw.flag |= std::uint64_t{decided[v]} << i;
+            if (round2) halted[v] |= static_cast<std::uint8_t>(live) & flushing[v];
+        }
+        // The committee is the only part that draws: flip regardless of
+        // this node's own case, before any round-2 delivery is seen
+        // (Lemma 5 independence). Stream v is private to v, so a shard
+        // draws exactly what the serial sweep would.
+        const NodeId c1 = std::min(v1, flip_last);
+        for (NodeId v = std::max(v0, flip_first); v < c1; ++v) {
+            const std::uint64_t bit = std::uint64_t{1} << (v - v0);
+            if ((sw.present & bit) == 0) continue;
+            if (rng_[v].sign() > 0)
+                sw.coin_pos |= bit;
+            else
+                sw.coin_neg |= bit;
+        }
+        buf.set_word(v0 / kWord, kind, p, sw);
     }
 }
 
-void SkeletonBatch::apply_round1(NodeId v, const std::array<Count, 2>& cnt) {
+SkeletonBatch::Step SkeletonBatch::step(bool round2, const std::array<Count, 2>& cnt,
+                                        bool checked) const {
     const Count quorum = cfg_.n - cfg_.t;
-    ADBA_ENSURES_MSG(!(cnt[0] >= quorum && cnt[1] >= quorum),
-                     "two n-t quorums cannot coexist (t < n/3)");
-    if (cnt[0] >= quorum) {
-        val_[v] = 0;
-        decided_[v] = 1;
-    } else if (cnt[1] >= quorum) {
-        val_[v] = 1;
-        decided_[v] = 1;
-    } else {
-        decided_[v] = 0;
+    Step s;
+    if (!round2) {
+        ADBA_ENSURES_MSG(!(cnt[0] >= quorum && cnt[1] >= quorum),
+                         "two n-t quorums cannot coexist (t < n/3)");
+        if (cnt[0] >= quorum || cnt[1] >= quorum) {
+            s.val = cnt[0] >= quorum ? Bit{0} : Bit{1};
+            s.decided = 1;
+        } else {
+            s.keep = 1;
+        }
+        return s;
     }
-}
-
-template <typename CoinFn>
-void SkeletonBatch::apply_round2(NodeId v, const std::array<Count, 2>& cnt_dec,
-                                 bool checked, CoinFn&& coin) {
-    const Count quorum = cfg_.n - cfg_.t;
     const Count supermin = cfg_.t + 1;
     if (checked) {
-        ADBA_ENSURES_MSG(!(cnt_dec[0] >= supermin && cnt_dec[1] >= supermin),
+        ADBA_ENSURES_MSG(!(cnt[0] >= supermin && cnt[1] >= supermin),
                          "Lemma 3 violated: decided quorums for both values");
     }
     for (Bit b : {Bit{0}, Bit{1}}) {
-        if (cnt_dec[b] >= quorum) {
-            val_[v] = b;
-            decided_[v] = 1;
-            finish_[v] = 1;
-            return;
+        if (cnt[b] >= quorum) {
+            s.val = b;
+            s.decided = 1;
+            s.finish = 1;
+            return s;
         }
     }
     for (Bit b : {Bit{0}, Bit{1}}) {
-        if (cnt_dec[b] >= supermin) {
-            val_[v] = b;
-            decided_[v] = 1;
-            return;
+        if (cnt[b] >= supermin) {
+            s.val = b;
+            s.decided = 1;
+            return s;
         }
     }
-    val_[v] = coin();
-    decided_[v] = 0;
+    s.coin = 1;
+    return s;
 }
 
-void SkeletonBatch::apply_phase_end(NodeId v, Phase p) {
-    if (finish_[v]) {
-        // Broadcast (val, decided=true) through one more full phase, then
-        // halt (the skeleton's finish flush).
-        flushing_[v] = 1;
-    } else if (cfg_.mode == AgreementMode::WhpFixedPhases && p + 1 == cfg_.phases) {
-        halted_[v] = 1;
+template <bool kUniform, typename CountsFn, typename CoinFn>
+void SkeletonBatch::step_range(Round r, const std::uint8_t* state, NodeId lo, NodeId hi,
+                               bool checked, CountsFn&& counts, CoinFn&& coin) {
+    const Phase p = r / 2;
+    const std::uint8_t round2 = (r % 2) != 0;
+    // Post-round-2 wrapper: a finisher starts its flush; otherwise the last
+    // fixed phase halts the node. Round 1 does neither (s.finish is 0 there).
+    const std::uint8_t last_phase =
+        round2 && cfg_.mode == AgreementMode::WhpFixedPhases && p + 1 == cfg_.phases;
+    // Raw plane pointers: a byte store may alias any member.
+    Bit* val = val_.data();
+    std::uint8_t* decided = decided_.data();
+    std::uint8_t* finish = finish_.data();
+    std::uint8_t* flushing = flushing_.data();
+    std::uint8_t* halted = halted_.data();
+    const auto live_at = [=](NodeId v) -> std::uint8_t {
+        return ((state[v] & net::RoundBuffer::kByzantine) | halted[v] | flushing[v]) == 0;
+    };
+
+    NodeId v = lo;
+    Step uniform;
+    if constexpr (kUniform) {
+        while (v < hi && !live_at(v)) ++v;
+        if (v == hi) return;  // no live receiver: nothing to write or check
+        uniform = step(round2, counts(v), checked);
+        // Case 3 everywhere: the coins go first, in ascending order, so the
+        // plane updates below carry no calls.
+        if (uniform.coin)
+            for (NodeId u = v; u < hi; ++u)
+                if (live_at(u)) val[u] = coin(u);
+        // Eight receivers per step: the same updates as the per-node loop
+        // below, on eight plane bytes at once (all bytes are 0/1; state's
+        // kByzantine is bit 1).
+        using namespace net::kern;
+        const std::uint64_t val_to = uniform.val * kByteLowBits;
+        const std::uint64_t decided_to = uniform.decided * kByteLowBits;
+        const std::uint64_t finish_to = uniform.finish * kByteLowBits;
+        const std::uint64_t set_val = (uniform.keep | uniform.coin) ? 0 : kByteLowBits;
+        const std::uint64_t flush_on = round2 * kByteLowBits;
+        const std::uint64_t halt_on = last_phase * kByteLowBits;
+        for (; v + 8 <= hi; v += 8) {
+            const std::uint64_t live = ~((load_bytes8(state + v) >> 1) |
+                                         load_bytes8(halted + v) | load_bytes8(flushing + v)) &
+                                       kByteLowBits;
+            const std::uint64_t on = live * 0xFF;
+            const std::uint64_t val_on = (live & set_val) * 0xFF;
+            store_bytes8(val + v, (load_bytes8(val + v) & ~val_on) | (val_to & val_on));
+            store_bytes8(decided + v, (load_bytes8(decided + v) & ~on) | (decided_to & on));
+            const std::uint64_t fin = load_bytes8(finish + v) | (live & finish_to);
+            store_bytes8(finish + v, fin);
+            store_bytes8(flushing + v, load_bytes8(flushing + v) | (live & fin & flush_on));
+            store_bytes8(halted + v, load_bytes8(halted + v) | (live & ~fin & halt_on));
+        }
     }
+    for (; v < hi; ++v) {
+        if (!live_at(v)) continue;
+        const Step s = kUniform ? uniform : step(round2, counts(v), checked);
+        if (s.coin) {
+            if constexpr (!kUniform) val[v] = coin(v);  // else written above
+        } else if (!s.keep) {
+            val[v] = s.val;
+        }
+        decided[v] = s.decided;
+        finish[v] |= s.finish;
+        flushing[v] |= round2 & finish[v];
+        halted[v] |= (finish[v] ^ 1) & last_phase;
+    }
+}
+
+auto SkeletonBatch::prepared_coin(Round r) {
+    const Phase p = r / 2;
+    // Dealer coins are pure functions of the phase: one read serves all.
+    const Bit dealer = (r % 2) != 0 && coin_.kind == BatchCoinSpec::Kind::Dealer
+                           ? coin_.dealer(p)
+                           : Bit{0};
+    // Captured by value: the receive loop's byte stores may alias members.
+    return [this, kind = coin_.kind, dealer, honest = prep_honest_coin_,
+            delta = prep_coin_delta_](NodeId v) -> Bit {
+        switch (kind) {
+            case BatchCoinSpec::Kind::Committee: {
+                // The honest committee sum is receiver-independent and
+                // hoisted; only the Byzantine delta varies per receiver.
+                const std::int64_t sum = honest + (delta != nullptr ? delta[v] : 0);
+                return sum >= 0 ? Bit{1} : Bit{0};
+            }
+            case BatchCoinSpec::Kind::Dealer:
+                return dealer;
+            case BatchCoinSpec::Kind::Local:
+                return rng_[v].bit();
+        }
+        return Bit{0};  // unreachable: all kinds handled above
+    };
 }
 
 void SkeletonBatch::receive_all(Round r, const net::RoundBuffer& buf,
@@ -164,55 +286,22 @@ void SkeletonBatch::receive_prepare(Round r, const net::RoundBuffer&,
 void SkeletonBatch::receive_range(Round r, const net::RoundBuffer& buf,
                                   const net::RoundTally& /*tally*/, NodeId lo,
                                   NodeId hi) {
-    const Phase p = r / 2;
+    // One shared honest histogram serves every receiver; a delta plane
+    // exists only when some Byzantine delivery matches the vote query.
     const std::uint8_t* state = buf.state_plane();
-    const auto skip = [&](NodeId v) {
-        return (state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v] ||
-               flushing_[v];
-    };
-
-    if ((r % 2) == 0) {
-        // Round 1: one shared honest histogram + one delta plane serve all
-        // receivers; the per-node work is two adds and the threshold test.
-        for (NodeId v = lo; v < hi; ++v) {
-            if (skip(v)) continue;
-            std::array<Count, 2> cnt = prep_base_;
-            if (prep_delta_ != nullptr) {
-                cnt[0] += prep_delta_[v][0];
-                cnt[1] += prep_delta_[v][1];
-            }
-            apply_round1(v, cnt);
-        }
+    if (prep_delta_ == nullptr) {
+        step_range<true>(
+            r, state, lo, hi, /*checked=*/true, [&](NodeId) { return prep_base_; },
+            prepared_coin(r));
         return;
     }
-
-    // Round 2: decided counts the same way; the committee coin's honest
-    // contribution is receiver-independent and already hoisted by
-    // receive_prepare, so only the Byzantine delta varies per receiver.
-    for (NodeId v = lo; v < hi; ++v) {
-        if (skip(v)) continue;
-        std::array<Count, 2> cnt = prep_base_;
-        if (prep_delta_ != nullptr) {
-            cnt[0] += prep_delta_[v][0];
-            cnt[1] += prep_delta_[v][1];
-        }
-        apply_round2(v, cnt, /*checked=*/true, [&]() -> Bit {
-            switch (coin_.kind) {
-                case BatchCoinSpec::Kind::Committee: {
-                    const std::int64_t sum =
-                        prep_honest_coin_ +
-                        (prep_coin_delta_ != nullptr ? prep_coin_delta_[v] : 0);
-                    return sum >= 0 ? Bit{1} : Bit{0};
-                }
-                case BatchCoinSpec::Kind::Dealer:
-                    return coin_.dealer(p);
-                case BatchCoinSpec::Kind::Local:
-                    return rng_[v].bit();
-            }
-            return Bit{0};  // unreachable: all kinds handled above
-        });
-        apply_phase_end(v, p);
-    }
+    step_range<false>(
+        r, state, lo, hi, /*checked=*/true,
+        [&](NodeId v) {
+            return std::array<Count, 2>{prep_base_[0] + prep_delta_[v][0],
+                                        prep_base_[1] + prep_delta_[v][1]};
+        },
+        prepared_coin(r));
 }
 
 void SkeletonBatch::receive_sparse_prepare(Round r, const net::RoundBuffer&,
@@ -245,34 +334,34 @@ void SkeletonBatch::receive_sparse_range(Round r, const net::RoundBuffer& buf,
                                          const net::RoundTally&,
                                          const net::SparsePlane& sparse, NodeId lo,
                                          NodeId hi) {
+    // Round 1 keeps its assertion even under sampling: two n-t estimates
+    // cannot coexist (est0 + est1 <= n + 1 < 2(n-t) for t < n/3). Lemma 3
+    // stays armed only where the estimates are the exact counts.
+    step_range<false>(
+        r, buf.state_plane(), lo, hi, /*checked=*/sparse.dense(),
+        [&](NodeId v) { return sparse.val_estimates(prep_sparse_query_, v); },
+        prepared_coin(r));
+}
+
+void SkeletonBatch::receive_all(Round r, const net::RoundBuffer& buf,
+                                const net::DeliverySource& src) {
+    // Oracle path: per-node ReceiveView queries — the executable spec of
+    // the hoisted receive above, pinned equal by the equivalence tests.
     const Phase p = r / 2;
-    const std::uint8_t* state = buf.state_plane();
-    const auto skip = [&](NodeId v) {
-        return (state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v] ||
-               flushing_[v];
-    };
-
-    if ((r % 2) == 0) {
-        // Round 1: two n-t estimates cannot coexist even under sampling
-        // (est0 + est1 <= n + 1 < 2(n-t) for t < n/3), so apply_round1's
-        // assertion needs no relaxation.
-        for (NodeId v = lo; v < hi; ++v) {
-            if (skip(v)) continue;
-            apply_round1(v, sparse.val_estimates(prep_sparse_query_, v));
-        }
-        return;
-    }
-
-    for (NodeId v = lo; v < hi; ++v) {
-        if (skip(v)) continue;
-        const std::array<Count, 2> cnt = sparse.val_estimates(prep_sparse_query_, v);
-        apply_round2(v, cnt, /*checked=*/sparse.dense(), [&]() -> Bit {
+    const bool round2 = (r % 2) != 0;
+    const net::MsgKind kind = round2 ? net::MsgKind::Vote2 : net::MsgKind::Vote1;
+    step_range<false>(
+        r, buf.state_plane(), 0, cfg_.n, /*checked=*/true,
+        [&](NodeId v) { return net::ReceiveView(src, v).val_counts(kind, p, round2); },
+        [&](NodeId v) -> Bit {
             switch (coin_.kind) {
                 case BatchCoinSpec::Kind::Committee: {
-                    const std::int64_t sum =
-                        prep_honest_coin_ +
-                        (prep_coin_delta_ != nullptr ? prep_coin_delta_[v] : 0);
-                    return sum >= 0 ? Bit{1} : Bit{0};
+                    const auto range =
+                        coin_.schedule.range(coin_.schedule.committee_of_phase(p));
+                    return committee_coin_sum(net::ReceiveView(src, v), p, range.first,
+                                              range.second) >= 0
+                               ? Bit{1}
+                               : Bit{0};
                 }
                 case BatchCoinSpec::Kind::Dealer:
                     return coin_.dealer(p);
@@ -281,46 +370,6 @@ void SkeletonBatch::receive_sparse_range(Round r, const net::RoundBuffer& buf,
             }
             return Bit{0};  // unreachable: all kinds handled above
         });
-        apply_phase_end(v, p);
-    }
-}
-
-void SkeletonBatch::receive_all(Round r, const net::RoundBuffer& buf,
-                                const net::DeliverySource& src) {
-    // Oracle path: per-node ReceiveView queries — the executable spec of
-    // the vectorized receive above, pinned equal by the equivalence tests.
-    const Phase p = r / 2;
-    const NodeId n = cfg_.n;
-    const std::uint8_t* state = buf.state_plane();
-    for (NodeId v = 0; v < n; ++v) {
-        if ((state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v] ||
-            flushing_[v])
-            continue;
-        const net::ReceiveView view(src, v);
-        if ((r % 2) == 0) {
-            apply_round1(v, view.val_counts(net::MsgKind::Vote1, p, false));
-        } else {
-            apply_round2(v, view.val_counts(net::MsgKind::Vote2, p, true),
-                         /*checked=*/true, [&]() -> Bit {
-                             switch (coin_.kind) {
-                                 case BatchCoinSpec::Kind::Committee: {
-                                     const auto range = coin_.schedule.range(
-                                         coin_.schedule.committee_of_phase(p));
-                                     return committee_coin_sum(view, p, range.first,
-                                                               range.second) >= 0
-                                                ? Bit{1}
-                                                : Bit{0};
-                                 }
-                                 case BatchCoinSpec::Kind::Dealer:
-                                     return coin_.dealer(p);
-                                 case BatchCoinSpec::Kind::Local:
-                                     return rng_[v].bit();
-                             }
-                             return Bit{0};  // unreachable: all kinds handled above
-                         });
-            apply_phase_end(v, p);
-        }
-    }
 }
 
 std::unique_ptr<net::BatchProtocol> make_skeleton_batch(

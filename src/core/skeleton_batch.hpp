@@ -13,8 +13,13 @@
 // val/flag counts and coin prefix are read once per round from the shared
 // RoundTally, and the per-receiver Byzantine deltas come from the tally's
 // delta planes, so the inner loop is pure arithmetic over contiguous
-// arrays. tests/test_batch_plane.cpp pins this class bit-identical to the
-// per-node adapter across every compatible registry pair.
+// arrays. When no Byzantine delivery matches the round's vote query, every
+// receiver sees the same counts: the thresholds run once and the planes
+// update in branch-free byte loops. The send step hands the buffer whole
+// 64-sender words (RoundBuffer::set_word), so the packed tally adopts them
+// instead of re-reading n Messages. tests/test_batch_plane.cpp pins this
+// class bit-identical to the per-node adapter across every compatible
+// registry pair.
 //
 // The subclass coin hooks of RabinSkeletonNode become a BatchCoinSpec
 // value: Committee (Algorithm 3 / Chor-Coan block schedules), Dealer (a
@@ -97,16 +102,31 @@ public:
     const std::uint8_t* decided_plane() const override { return decided_.data(); }
 
 private:
-    /// Round-1 threshold update for node v given its (val 0, val 1) counts.
-    void apply_round1(NodeId v, const std::array<Count, 2>& cnt);
-    /// Round-2 update; `coin` is invoked only in case 3 (so RNG draws match
-    /// the per-node path exactly). `checked` arms the Lemma 3 assertion —
-    /// a theorem for exact counts, but not for sub-dense sampled estimates.
-    template <typename CoinFn>
-    void apply_round2(NodeId v, const std::array<Count, 2>& cnt_dec, bool checked,
-                      CoinFn&& coin);
-    /// Post-round-2 wrapper logic (finish flush / fixed-phase exhaustion).
-    void apply_phase_end(NodeId v, Phase p);
+    /// What the thresholds make of one receiver's counts: round 1 reads
+    /// the (val 0, val 1) counts, round 2 the decided-only counts.
+    struct Step {
+        std::uint8_t keep = 0;     ///< round 1 below quorum: value unchanged
+        Bit val = 0;
+        std::uint8_t decided = 0;
+        std::uint8_t finish = 0;   ///< round-2 case 1: start the finish flush
+        std::uint8_t coin = 0;     ///< round-2 case 3: value = the coin
+    };
+    /// The thresholds, with the two-quorum (round 1) and Lemma 3 (round 2,
+    /// when `checked`) contracts. Lemma 3 is a theorem for exact counts
+    /// only, not for sub-dense sampled estimates.
+    Step step(bool round2, const std::array<Count, 2>& cnt, bool checked) const;
+    /// Receive beat over receivers [lo, hi): counts(v) is v's tally and
+    /// coin(v) its case-3 coin, drawn only for live case-3 receivers in
+    /// ascending order. kUniform: every receiver has the same counts, so
+    /// the thresholds run once — and their contracts fire only if the range
+    /// has a live receiver — and the planes update branch-free.
+    template <bool kUniform, typename CountsFn, typename CoinFn>
+    void step_range(Round r, const std::uint8_t* state, NodeId lo, NodeId hi,
+                    bool checked, CountsFn&& counts, CoinFn&& coin);
+    /// The prepared case-3 coin for round r (receive_prepare or
+    /// receive_sparse_prepare hoists): committee sums per receiver, the
+    /// dealer's pure coin read once, or the receiver's own flip.
+    auto prepared_coin(Round r);
 
     SkeletonConfig cfg_;
     BatchCoinSpec coin_;

@@ -61,8 +61,9 @@ public:
     virtual NodeId n() const = 0;
 
     /// Beat 1: every live honest node computes its round-r broadcast into
-    /// `buf` (set_broadcast). Nodes that halt at send time (finish-flush
-    /// protocols) must flip their halted_plane() bit here.
+    /// `buf` (set_broadcast per node, or set_word per 64 senders when the
+    /// whole population speaks one (kind, phase)). Nodes that halt at send
+    /// time (finish-flush protocols) must flip their halted_plane() bit here.
     virtual void send_all(Round r, RoundBuffer& buf) = 0;
 
     /// Beat 3, flat path: every live honest node consumes the round through

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <type_traits>
 
 #include "support/contracts.hpp"
 
@@ -210,22 +211,37 @@ void Engine::account_sends() {
     // Accounting reflects post-corruption reality (see honest_fanout): one
     // branch-free census over the state, halted and broadcast planes, then
     // the closed form — no per-sender charge. Word-payload senders are
-    // counted apart because only they carry the extra word bits.
+    // counted apart because only they carry the extra word bits. In a
+    // word-sent round every sender broadcast the round's one kind, so they
+    // are all senders or none, and the census reads no Message at all.
     const std::uint8_t* state = buf_.state_plane();
     const std::uint8_t* halted = batch_->halted_plane();
     const Message* sent = buf_.honest_plane();
     std::uint32_t senders = 0, flushed = 0, halted_honest = 0;
     std::uint32_t word_senders = 0, word_flushed = 0;
-    for (NodeId v = 0; v < cfg_.n; ++v) {
-        const std::uint32_t present = state[v] == RoundBuffer::kPresent;
-        const std::uint32_t honest = (state[v] & RoundBuffer::kByzantine) == 0;
-        const std::uint32_t h = halted[v] != 0;
-        const std::uint32_t word = present & carries_word(sent[v].kind);
-        senders += present;
-        flushed += present & h;
-        halted_honest += honest & h;
-        word_senders += word;
-        word_flushed += word & h;
+    const auto census = [&](auto read_kinds) {
+        for (NodeId v = 0; v < cfg_.n; ++v) {
+            const std::uint32_t present = state[v] == RoundBuffer::kPresent;
+            const std::uint32_t honest = (state[v] & RoundBuffer::kByzantine) == 0;
+            const std::uint32_t h = halted[v] != 0;
+            senders += present;
+            flushed += present & h;
+            halted_honest += honest & h;
+            if constexpr (decltype(read_kinds)::value) {
+                const std::uint32_t word = present & carries_word(sent[v].kind);
+                word_senders += word;
+                word_flushed += word & h;
+            }
+        }
+    };
+    if (const auto words = buf_.word_round()) {
+        census(std::false_type{});
+        if (carries_word(words->kind)) {
+            word_senders = senders;
+            word_flushed = flushed;
+        }
+    } else {
+        census(std::true_type{});
     }
     const std::uint64_t fanout =
         honest_fanout(senders, flushed, halted_honest, cfg_.n, fanout_cap_);

@@ -11,6 +11,11 @@ void RoundBuffer::reset(NodeId n) {
     n_ = n;
     honest_.resize(n);
     state_.assign(n, 0);
+    const std::size_t words = kern::word_count(n);
+    word_sig_.assign(words, WordSig{});
+    present_.assign(words, 0);
+    words_.ensure(words);
+    std::fill_n(words_.byz.begin(), words, std::uint64_t{0});
     byz_row_of_.assign(n, -1);
     row_sender_.clear();
     row_mode_.clear();
@@ -21,8 +26,15 @@ void RoundBuffer::reset(NodeId n) {
 }
 
 void RoundBuffer::begin_round() {
-    for (NodeId v = 0; v < n_; ++v) state_[v] &= kByzantine;
-    std::fill(byz_row_of_.begin(), byz_row_of_.end(), -1);
+    // Byte stores may alias any member; a local pointer and bound keep
+    // the loop vectorizable.
+    std::uint8_t* state = state_.data();
+    const NodeId n = n_;
+    for (NodeId v = 0; v < n; ++v) state[v] &= kByzantine;
+    for (WordSig& sig : word_sig_) sig.sent = 0;
+    // ensure_row is byz_row_of_'s only writer, so the senders with a row
+    // are exactly the ones to clear.
+    for (std::size_t r = 0; r < rows_in_use_; ++r) byz_row_of_[row_sender_[r]] = -1;
     row_sender_.clear();
     row_mode_.clear();
     row_slot_.clear();
@@ -31,11 +43,60 @@ void RoundBuffer::begin_round() {
     slots_in_use_ = 0;
 }
 
+void RoundBuffer::set_word(std::size_t w, MsgKind kind, Phase phase,
+                           const SendWord& sw) {
+    ADBA_EXPECTS(w < word_sig_.size());
+    ADBA_EXPECTS_MSG((sw.present & words_.byz[w]) == 0,
+                     "set_word: a present sender must be honest");
+    const auto v0 = static_cast<NodeId>(w * kern::kWordBits);
+    const NodeId v1 = std::min<NodeId>(n_, v0 + static_cast<NodeId>(kern::kWordBits));
+    ADBA_EXPECTS_MSG(v1 - v0 == kern::kWordBits || (sw.present >> (v1 - v0)) == 0,
+                     "set_word: present bit past n");
+    // The masks are consumed one bit per sender from registers: a byte
+    // store may alias any member, so nothing is re-read through `sw`.
+    std::uint64_t present = sw.present, val = sw.val, flag = sw.flag;
+    std::uint64_t pos = sw.coin_pos, neg = sw.coin_neg;
+    Message* honest = honest_.data();
+    std::uint8_t* state = state_.data();
+    for (NodeId v = v0; v < v1; ++v) {
+        honest[v] = Message{kind,
+                            static_cast<Bit>(val & 1),
+                            static_cast<std::uint8_t>(flag & 1),
+                            static_cast<CoinSign>(static_cast<int>(pos & 1) -
+                                                  static_cast<int>(neg & 1)),
+                            phase,
+                            Word{0}};
+        state[v] |= static_cast<std::uint8_t>(present & 1);  // kPresent
+        present >>= 1;
+        val >>= 1;
+        flag >>= 1;
+        pos >>= 1;
+        neg >>= 1;
+    }
+    present_[w] = sw.present;
+    words_.val[w] = sw.val;
+    words_.flag[w] = sw.flag;
+    words_.coin_pos[w] = sw.coin_pos;
+    words_.coin_neg[w] = sw.coin_neg;
+    word_sig_[w] = WordSig{kind, 1, phase};
+}
+
+std::optional<RoundBuffer::WordRound> RoundBuffer::word_round() const {
+    const WordSig& first = word_sig_[0];
+    for (const WordSig& sig : word_sig_)
+        if (sig.sent == 0 || sig.kind != first.kind || sig.phase != first.phase)
+            return std::nullopt;
+    return WordRound{first.kind, first.phase};
+}
+
 std::optional<Message> RoundBuffer::corrupt(NodeId v) {
     ADBA_EXPECTS(v < n_);
     std::optional<Message> discarded;
     if (state_[v] == kPresent) discarded = honest_[v];
     state_[v] = kByzantine;
+    const std::uint64_t bit = std::uint64_t{1} << (v % kern::kWordBits);
+    present_[v / kern::kWordBits] &= ~bit;
+    words_.byz[v / kern::kWordBits] |= bit;
     return discarded;
 }
 
@@ -190,6 +251,7 @@ void RoundTally::rebuild(const RoundBuffer& buf, bool packed, IntraDispatcher* i
     val_caches_in_use_ = 0;
     coin_caches_in_use_ = 0;
     packed_ = packed;
+    adopted_ = false;
     if (packed)
         rebuild_packed(buf, intra);
     else
@@ -236,6 +298,39 @@ void RoundTally::rebuild_scalar(const RoundBuffer& buf) {
 void RoundTally::rebuild_packed(const RoundBuffer& buf, IntraDispatcher* intra) {
     const NodeId n = buf.n();
     const std::size_t words = kern::word_count(n);
+    if (const auto sent = buf.word_round()) {
+        // Word-sent round: the planes were born at send. Every present
+        // sender broadcast the one signature, so the presence plane is the
+        // bucket's match plane — no pass over the n Messages.
+        adopted_ = true;
+        const std::uint64_t* present = buf.present_words();
+        if (kern::popcount_words(present, words) != 0) {
+            TallyBucket& b = bucket_for(sent->kind, sent->phase, 0);
+            b.match.assign(present, present + words);
+        }
+    } else {
+        pack_pass(buf, intra);
+    }
+
+    // Count reduction: popcounts over full-width planes. Exact integers —
+    // val_cnt[0] falls out of total because val & 1 is binary.
+    const kern::PackedPlanes& pl = planes();
+    for (std::size_t i = 0; i < buckets_in_use_; ++i) {
+        TallyBucket& b = buckets_[i];
+        b.total = kern::popcount_words(b.match.data(), words);
+        b.val_cnt[1] = kern::popcount_and(b.match.data(), pl.val.data(), words);
+        b.val_cnt[0] = b.total - b.val_cnt[1];
+        const Count flag_total =
+            kern::popcount_and(b.match.data(), pl.flag.data(), words);
+        b.val_flag_cnt[1] = kern::popcount_and3(b.match.data(), pl.flag.data(),
+                                                pl.val.data(), words);
+        b.val_flag_cnt[0] = flag_total - b.val_flag_cnt[1];
+    }
+}
+
+void RoundTally::pack_pass(const RoundBuffer& buf, IntraDispatcher* intra) {
+    const NodeId n = buf.n();
+    const std::size_t words = kern::word_count(n);
     planes_.ensure(words);
     const unsigned shards = intra != nullptr ? intra->shards() : 1;
     if (pack_shards_.size() < shards) pack_shards_.resize(shards);
@@ -257,20 +352,6 @@ void RoundTally::rebuild_packed(const RoundBuffer& buf, IntraDispatcher* intra) 
             std::copy(lb.match.begin(), lb.match.end(),
                       b.match.begin() + static_cast<std::ptrdiff_t>(sh.word_lo));
         }
-    }
-
-    // Count reduction: popcounts over full-width planes. Exact integers —
-    // val_cnt[0] falls out of total because val & 1 is binary.
-    for (std::size_t i = 0; i < buckets_in_use_; ++i) {
-        TallyBucket& b = buckets_[i];
-        b.total = kern::popcount_words(b.match.data(), words);
-        b.val_cnt[1] = kern::popcount_and(b.match.data(), planes_.val.data(), words);
-        b.val_cnt[0] = b.total - b.val_cnt[1];
-        const Count flag_total =
-            kern::popcount_and(b.match.data(), planes_.flag.data(), words);
-        b.val_flag_cnt[1] = kern::popcount_and3(b.match.data(), planes_.flag.data(),
-                                                planes_.val.data(), words);
-        b.val_flag_cnt[0] = flag_total - b.val_flag_cnt[1];
     }
 }
 
@@ -307,9 +388,11 @@ const std::vector<std::int64_t>& RoundTally::coin_prefix(const TallyBucket& b) c
 
 std::int64_t RoundTally::coin_range_sum(const TallyBucket& b, NodeId first,
                                         NodeId last) const {
-    if (packed_)
-        return kern::coin_sum_range(planes_.coin_pos.data(), planes_.coin_neg.data(),
+    if (packed_) {
+        const kern::PackedPlanes& pl = planes();
+        return kern::coin_sum_range(pl.coin_pos.data(), pl.coin_neg.data(),
                                     b.match.data(), first, last);
+    }
     const auto& prefix = coin_prefix(b);
     return prefix[last] - prefix[first];
 }
@@ -393,14 +476,8 @@ const std::array<Count, 2>* RoundTally::val_delta_plane(MsgKind kind, Phase phas
     for (std::size_t c = 0; c < val_caches_in_use_; ++c) {
         const ValCache& vc = val_caches_[c];
         if (vc.kind == kind && vc.phase == phase && vc.flag == require_flag)
-            return vc.delta.data();
+            return vc.any ? vc.delta.data() : nullptr;
     }
-    // Build the per-receiver delta array once for this query signature:
-    // pattern rows contribute piecewise-constant runs as a DIFFERENCE SWEEP
-    // (+1 at the run start, -1 past its end, prefix-summed once at the end)
-    // so k pattern rows cost O(n + k), not O(n * k) — with t split-voting
-    // Byzantine senders the latter was the dominant large-n term. Dense
-    // rows are then swept per distinct slot, weighted by its row count.
     if (val_caches_.size() <= val_caches_in_use_)
         val_caches_.resize(val_caches_in_use_ + 1);
     ValCache& vc = val_caches_[val_caches_in_use_++];
@@ -408,28 +485,56 @@ const std::array<Count, 2>* RoundTally::val_delta_plane(MsgKind kind, Phase phas
     vc.phase = phase;
     vc.flag = require_flag;
     const NodeId n = buf_->n();
-    vc.delta.assign(n, {Count{0}, Count{0}});
     const auto matches = [&](const Message& m) {
         return m.kind == kind && m.phase == phase && (!require_flag || m.flag != 0);
     };
+    // A pattern side counts when it reaches at least one receiver.
+    const auto side_matches = [&](const RoundBuffer::RowPattern& p, int side) {
+        const bool reaches = side == 0 ? p.boundary > 0 : p.boundary < n;
+        return p.present[side] && reaches && matches(p.msg[side]);
+    };
+
+    // Does any Byzantine delivery match? Pattern sides answer in O(1); a
+    // dense slot is read up to its first matching cell. With no match
+    // there is nothing to build: the plane would be all zeros.
     bool any_pattern = false;
-    for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t r = 0; r < rows && !any_pattern; ++r) {
         if (buf_->row_mode(r) != RoundBuffer::kRowPattern) continue;
         const RoundBuffer::RowPattern& p = buf_->row_pattern(r);
-        for (int side = 0; side < 2; ++side) {
-            if (!p.present[side] || !matches(p.msg[side])) continue;
-            const NodeId lo = side == 0 ? 0 : p.boundary;
-            const NodeId hi = side == 0 ? p.boundary : n;
-            if (lo >= hi) continue;
-            const int idx = p.msg[side].val & 1;
-            // Unsigned wraparound in the -1 marker is intentional: the
-            // prefix sum below restores the true (non-negative) counts.
-            ++vc.delta[lo][idx];
-            if (hi < n) --vc.delta[hi][idx];
-            any_pattern = true;
-        }
+        any_pattern = side_matches(p, 0) || side_matches(p, 1);
     }
+    vc.any = any_pattern;
+    if (!vc.any) {
+        for_each_weighted_slot(0, n, [&](const Message* msgs, const std::uint8_t* present,
+                                         Count) {
+            for (NodeId v = 0; v < n && !vc.any; ++v)
+                vc.any = present[v] != 0 && matches(msgs[v]);
+        });
+    }
+    if (!vc.any) return nullptr;
+
+    // Build the per-receiver delta array once for this query signature:
+    // pattern rows contribute piecewise-constant runs as a DIFFERENCE SWEEP
+    // (+1 at the run start, -1 past its end, prefix-summed once at the end)
+    // so k pattern rows cost O(n + k), not O(n * k) — with t split-voting
+    // Byzantine senders the latter was the dominant large-n term. Dense
+    // rows are then swept per distinct slot, weighted by its row count.
+    vc.delta.assign(n, {Count{0}, Count{0}});
     if (any_pattern) {
+        for (std::size_t r = 0; r < rows; ++r) {
+            if (buf_->row_mode(r) != RoundBuffer::kRowPattern) continue;
+            const RoundBuffer::RowPattern& p = buf_->row_pattern(r);
+            for (int side = 0; side < 2; ++side) {
+                if (!side_matches(p, side)) continue;
+                const NodeId lo = side == 0 ? 0 : p.boundary;
+                const NodeId hi = side == 0 ? p.boundary : n;
+                const int idx = p.msg[side].val & 1;
+                // Unsigned wraparound in the -1 marker is intentional: the
+                // prefix sum below restores the true (non-negative) counts.
+                ++vc.delta[lo][idx];
+                if (hi < n) --vc.delta[hi][idx];
+            }
+        }
         for (NodeId v = 1; v < n; ++v) {
             vc.delta[v][0] += vc.delta[v - 1][0];
             vc.delta[v][1] += vc.delta[v - 1][1];

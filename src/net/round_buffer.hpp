@@ -19,6 +19,20 @@
 //    A shared slot is copy-on-write — the first deliver/apply_pattern merge
 //    into one of its rows gives that row a private copy first.
 //
+//    Honest sends arrive in one of two forms. set_broadcast writes one
+//    sender's Message (per-node writers: the PerNodeBatch adapter, Ben-Or,
+//    Phase-King, the multi-valued prelude). set_word hands over 64 senders
+//    at once as bit masks (present / val / flag / coin sign) under one
+//    (kind, phase) signature — the skeleton batch's form. The buffer still
+//    writes the 64 Messages, because observers, corrupt(), from(),
+//    transcripts and word histograms read them, and it keeps the words as
+//    packed planes. corrupt() clears the sender's present bit and sets its
+//    bit in the Byzantine word plane, so the words stay current through the
+//    adversary beat. When every word of a round arrived through set_word
+//    under one signature (word_round()), the tally adopts the words instead
+//    of re-packing n Messages; one set_broadcast anywhere in the round
+//    sends it down the pack pass.
+//
 //  * RoundTally — the engine-level shared tally service. Honest broadcasts
 //    are receiver-independent, so their (kind, phase) histogram is computed
 //    ONCE per round in O(n); Byzantine-row deltas are aggregated once per
@@ -37,9 +51,11 @@
 //  EngineConfig::simd_tally, scenario key `simd=`): the scalar byte-plane
 //  sweep above (the reference oracle) and a word-packed mode
 //  (net/tally_kernels.hpp) where presence/val/flag/coin collapse to
-//  uint64_t bit planes, counts become popcounts-over-words, and the pack
-//  pass itself shards across an IntraDispatcher's word-aligned node
-//  ranges. Both modes produce bit-identical query results.
+//  uint64_t bit planes and counts become popcounts-over-words. The packed
+//  planes come from the send words in a word-sent round and from the pack
+//  pass otherwise; the pack pass shards across an IntraDispatcher's
+//  word-aligned node ranges and stays the reference the words are pinned
+//  against. All builds produce bit-identical query results.
 #pragma once
 
 #include <array>
@@ -89,18 +105,57 @@ public:
 
     /// Sizes for a run of n nodes; everyone honest, no rows, nothing present.
     void reset(NodeId n);
-    /// Clears the presence plane and recycles the Byzantine rows; corruption
-    /// marks survive (corruption is permanent, §1.1).
+    /// Clears the presence plane and the word send records and recycles the
+    /// Byzantine rows; corruption marks survive (corruption is permanent,
+    /// §1.1).
     void begin_round();
 
     NodeId n() const { return n_; }
     bool is_honest(NodeId v) const { return (state_[v] & kByzantine) == 0; }
 
     // ---- beat 1: honest sends ----
+    /// Per-node send: honest v broadcasts m. Any call takes the round off
+    /// the word path (see word_round()).
     void set_broadcast(NodeId v, const Message& m) {
         honest_[v] = m;
         state_[v] = kPresent;
+        word_sig_[v / kern::kWordBits].sent = 0;
     }
+
+    /// One word of honest sends: bit i stands for sender 64·w + i. Bits of
+    /// senders that are not present are ignored by every reader (the
+    /// attribute masks are unmasked, like kern::PackedPlanes).
+    struct SendWord {
+        std::uint64_t present = 0;   ///< honest senders that broadcast
+        std::uint64_t val = 0;       ///< val & 1
+        std::uint64_t flag = 0;      ///< flag != 0
+        std::uint64_t coin_pos = 0;  ///< coin > 0
+        std::uint64_t coin_neg = 0;  ///< coin < 0
+    };
+    /// Word send: senders [64·w, 64·w + 64) ∩ [0, n) broadcast
+    /// Message{kind, val, flag, coin, phase, word = 0} where `present` is
+    /// set. Writes the 64 Messages and the presence bytes as set_broadcast
+    /// would, and keeps the masks as the round's packed planes. Present
+    /// senders must be honest. Shards calling this on disjoint words never
+    /// share a write.
+    void set_word(std::size_t w, MsgKind kind, Phase phase, const SendWord& sw);
+
+    /// The common signature of a word-sent round.
+    struct WordRound {
+        MsgKind kind{};
+        Phase phase = 0;
+    };
+    /// Set iff every word of this round arrived through set_word under one
+    /// (kind, phase) and no set_broadcast followed: then every present
+    /// sender broadcast that signature, present_words() is the exact
+    /// presence plane (corruptions included) and word_planes() holds the
+    /// sent attributes. O(n/64).
+    std::optional<WordRound> word_round() const;
+    /// Presence plane of the set_word words (exact in a word-sent round).
+    const std::uint64_t* present_words() const { return present_.data(); }
+    /// The set_word attribute words (unmasked, valid in a word-sent round)
+    /// plus the Byzantine plane, which is exact in every round.
+    const kern::PackedPlanes& word_planes() const { return words_; }
     /// Honest sender v's broadcast this round (nullptr = silent/halted).
     const Message* broadcast(NodeId v) const {
         return state_[v] == kPresent ? &honest_[v] : nullptr;
@@ -108,6 +163,8 @@ public:
 
     // ---- beat 2: adversary actions ----
     /// Moves v to the Byzantine set forever; returns the discarded broadcast.
+    /// Clears v's present word bit and sets its Byzantine word bit (O(1)),
+    /// so the send words stay exact after the adversary beat.
     std::optional<Message> corrupt(NodeId v);
     /// Records m as (byz_from -> to); returns true when the slot was empty.
     bool deliver(NodeId byz_from, NodeId to, const Message& m);
@@ -183,6 +240,16 @@ private:
     NodeId n_ = 0;
     std::vector<Message> honest_;        ///< [n] honest broadcasts
     std::vector<std::uint8_t> state_;    ///< [n] presence/honesty plane
+    /// Per-word send record: `sent` = set_word this round and no
+    /// set_broadcast since; kind/phase = the word's signature.
+    struct WordSig {
+        MsgKind kind{};
+        std::uint8_t sent = 0;
+        Phase phase = 0;
+    };
+    std::vector<WordSig> word_sig_;        ///< [n/64]
+    std::vector<std::uint64_t> present_;   ///< [n/64] set_word presence
+    kern::PackedPlanes words_;             ///< [n/64] set_word masks + byz
     std::vector<std::int32_t> byz_row_of_;  ///< [n] sender -> row, or -1
     std::vector<NodeId> row_sender_;     ///< [rows] row -> sender
     std::vector<std::uint8_t> row_mode_; ///< [rows] kRowDense / kRowPattern
@@ -250,18 +317,23 @@ public:
     void rebuild(const RoundBuffer& buf) { rebuild(buf, false, nullptr); }
     /// Full form: `packed` selects the word-packed popcount build
     /// (tally_kernels.hpp); `intra` shards the pack pass over word-aligned
-    /// node ranges (packed mode only; ignored when scalar). Query results
-    /// are bit-identical across all (packed, intra) combinations.
+    /// node ranges (packed mode only; ignored when scalar). A packed build
+    /// of a word-sent round (RoundBuffer::word_round) adopts the send words
+    /// and runs no pack pass: one bucket whose match plane is the presence
+    /// plane, or none when no sender is present. Query results are
+    /// bit-identical across all (packed, intra, words) combinations.
     void rebuild(const RoundBuffer& buf, bool packed, IntraDispatcher* intra);
     /// True when the current round was built in packed mode.
     bool packed() const { return packed_; }
+    /// True when the current packed round adopted the buffer's send words.
+    bool words_adopted() const { return adopted_; }
     /// The round's shared word-packed attribute planes (packed mode only).
     /// UNMASKED — consumers must gate every bit through a bucket's match
     /// plane (tally_kernels.hpp contract). The sparse delivery plane reads
     /// these directly for its per-edge honest-sender probes.
     const kern::PackedPlanes& packed_planes() const {
         ADBA_EXPECTS_MSG(packed_, "packed_planes requires a packed rebuild");
-        return planes_;
+        return planes();
     }
 
     const TallyBucket* find(MsgKind kind, Phase phase) const;
@@ -283,14 +355,16 @@ public:
                                 NodeId last) const;
 
     /// Whole per-receiver Byzantine val-count delta plane for one query
-    /// signature (array of size n, indexed by receiver); nullptr when the
-    /// round has no Byzantine rows. Built once per signature with a
-    /// difference sweep over pattern rows — O(n + rows), not O(n * rows).
-    /// Batch protocols hoist this out of their receive loop.
+    /// signature (array of size n, indexed by receiver); nullptr when no
+    /// Byzantine delivery matches the query — every receiver then sees
+    /// exactly the bucket's counts, and callers read nullptr as all-zero
+    /// deltas. Built once per signature with a difference sweep over
+    /// pattern rows — O(n + rows), not O(n * rows). Batch protocols hoist
+    /// this out of their receive loop.
     const std::array<Count, 2>* val_delta_plane(MsgKind kind, Phase phase,
                                                 bool require_flag) const;
     /// Per-receiver Byzantine val-count deltas for one query signature;
-    /// nullptr when the round has no Byzantine rows.
+    /// nullptr when no Byzantine delivery matches it.
     const std::array<Count, 2>* val_deltas(MsgKind kind, Phase phase,
                                            bool require_flag, NodeId receiver) const;
     /// Whole per-receiver Byzantine coin-sum delta plane over senders in
@@ -312,6 +386,7 @@ private:
         MsgKind kind{};
         Phase phase = 0;
         bool flag = false;
+        bool any = false;  ///< some Byzantine delivery matched
         std::vector<std::array<Count, 2>> delta;  ///< [n]
     };
     struct CoinCache {
@@ -323,8 +398,16 @@ private:
         std::vector<std::int64_t> delta;  ///< [n]
     };
 
+    /// The round's packed planes: the buffer's send words when adopted,
+    /// else the pack pass's output.
+    const kern::PackedPlanes& planes() const {
+        return adopted_ ? buf_->word_planes() : planes_;
+    }
     void rebuild_scalar(const RoundBuffer& buf);
     void rebuild_packed(const RoundBuffer& buf, IntraDispatcher* intra);
+    /// Packs the round's Messages into planes_ and the buckets' match
+    /// planes (kern::pack_shard per shard, merged in shard order).
+    void pack_pass(const RoundBuffer& buf, IntraDispatcher* intra);
     TallyBucket& bucket_for(MsgKind kind, Phase phase, std::size_t words);
     /// Calls sweep(msgs, presence, weight) once per dense slot referenced by
     /// a dense row whose sender lies in [first, last); weight = the number
@@ -335,7 +418,8 @@ private:
 
     const RoundBuffer* buf_ = nullptr;
     bool packed_ = false;
-    kern::PackedPlanes planes_;            ///< packed mode; recycled
+    bool adopted_ = false;                 ///< packed from the send words
+    kern::PackedPlanes planes_;            ///< pack pass output; recycled
     std::vector<kern::PackShard> pack_shards_;  ///< per-shard pack scratch
     // Buckets and query caches: entries are reused across rounds (vectors
     // and maps keep their storage); *_in_use_ marks how many are live for

@@ -31,6 +31,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -150,6 +151,35 @@ struct PackShard {
 /// shard_node_range.
 void pack_shard(const RoundBuffer& buf, NodeId lo, NodeId hi,
                 PackedPlanes& planes, PackShard& shard);
+
+// ---- byte plane -> bit plane ---------------------------------------------
+
+/// Bit 0 of each byte of a 0/1 byte plane, eight bytes per step.
+inline constexpr std::uint64_t kByteLowBits = 0x0101010101010101ULL;
+
+/// Eight consecutive plane bytes as one integer: byte i of the plane is
+/// bits [8i, 8i + 8) on a little-endian host, so shifts and masks act on
+/// every byte at once.
+inline std::uint64_t load_bytes8(const std::uint8_t* p) {
+    std::uint64_t x = 0;
+    std::memcpy(&x, p, sizeof x);
+    return x;
+}
+inline void store_bytes8(std::uint8_t* p, std::uint64_t x) { std::memcpy(p, &x, sizeof x); }
+
+/// Packs bit 0 of each of the eight bytes in `x` (as load_bytes8 read
+/// them; the other bits must be clear) into bits 0..7, byte i -> bit i.
+/// One multiply gathers them: every byte's bit meets a distinct power of
+/// two, so no partial product carries into the top byte.
+inline std::uint64_t gather_low_bits8(std::uint64_t x) {
+    if constexpr (std::endian::native == std::endian::little) {
+        return (x * 0x0102040810204080ULL) >> 56;
+    } else {
+        std::uint64_t bits = 0;
+        for (unsigned i = 0; i < 8; ++i) bits |= ((x >> (56 - 8 * i)) & 1) << i;
+        return bits;
+    }
+}
 
 // ---- popcount reduction kernels -----------------------------------------
 

@@ -3,9 +3,12 @@
 // over a DeliverySource) for every compatible (protocol, adversary) registry
 // pair, at any thread count; plus pattern-row mechanics, shared dense rows
 // (deliver_shared / RoundControl::deliver_rows_as) against their per-cell
-// expansion, and the halted-receiver message-accounting contract.
+// expansion, word sends (RoundBuffer::set_word) against the pack pass,
+// uniform-count receive against the per-node path, and the
+// halted-receiver message-accounting contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -16,6 +19,7 @@
 #include "adversary/coin_ruin.hpp"
 #include "adversary/observer.hpp"
 #include "core/common_coin.hpp"
+#include "core/skeleton_batch.hpp"
 #include "core/multivalued.hpp"
 #include "net/engine.hpp"
 #include "net/fused_plane.hpp"
@@ -23,6 +27,7 @@
 #include "net/round_buffer.hpp"
 #include "rand/rng.hpp"
 #include "rand/seed_tree.hpp"
+#include "sim/executor.hpp"
 #include "sim/inputs.hpp"
 #include "sim/multivalued_runner.hpp"
 #include "sim/registry.hpp"
@@ -1224,6 +1229,468 @@ TEST(AccountingOracle, HonestFanoutClosedForm) {
     // Everyone halted and honest: flushed senders reach nobody, no wrap.
     EXPECT_EQ(net::honest_fanout(3, 3, 10, 10), 0u);
     EXPECT_EQ(net::honest_fanout(0, 0, 10, 10, 4), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Word sends: the skeleton batch hands the buffer whole 64-sender words
+// (RoundBuffer::set_word), and the packed tally adopts them instead of
+// re-reading n Messages. The pack pass over the same deliveries is the
+// reference: buckets (order and counts), match planes, match-masked
+// attribute planes, the Byzantine plane, coin range sums and both delta
+// planes must agree.
+
+/// Byzantine word plane derived from the state plane.
+std::vector<std::uint64_t> byz_words_of(const net::RoundBuffer& buf) {
+    std::vector<std::uint64_t> byz(net::kern::word_count(buf.n()), 0);
+    for (NodeId v = 0; v < buf.n(); ++v)
+        if (!buf.is_honest(v)) byz[v / 64] |= std::uint64_t{1} << (v % 64);
+    return byz;
+}
+
+/// True when some Byzantine delivery of this round matches the query:
+/// the brute-force form of val_delta_plane's nullptr contract.
+bool any_byzantine_match(const net::RoundBuffer& buf, MsgKind kind, Phase phase,
+                         bool require_flag) {
+    for (std::size_t r = 0; r < buf.rows_in_use(); ++r)
+        for (NodeId v = 0; v < buf.n(); ++v)
+            if (const Message* m = buf.row_delivery(r, v))
+                if (m->kind == kind && m->phase == phase && (!require_flag || m->flag != 0))
+                    return true;
+    return false;
+}
+
+/// Pins every packed query of `words` (built over `buf`) to `ref` (built
+/// over the same deliveries by the pack pass). `queries` adds (kind,
+/// phase) signatures beyond the buckets'; `brute` also checks the delta
+/// planes' nullptr contract sender by sender.
+void expect_tallies_eq(const net::RoundTally& words, const net::RoundTally& ref,
+                       const net::RoundBuffer& buf,
+                       std::vector<std::pair<MsgKind, Phase>> queries, Xoshiro256& rng,
+                       bool brute) {
+    const NodeId n = buf.n();
+    const std::size_t nw = net::kern::word_count(n);
+    ASSERT_TRUE(words.packed() && ref.packed());
+    const net::kern::PackedPlanes& a = words.packed_planes();
+    const net::kern::PackedPlanes& b = ref.packed_planes();
+    const std::vector<std::uint64_t> byz = byz_words_of(buf);
+    EXPECT_TRUE(std::equal(byz.begin(), byz.end(), a.byz.begin()));
+    EXPECT_TRUE(std::equal(byz.begin(), byz.end(), b.byz.begin()));
+    ASSERT_EQ(words.bucket_count(), ref.bucket_count());
+    for (std::size_t i = 0; i < words.bucket_count(); ++i) {
+        SCOPED_TRACE("bucket " + std::to_string(i));
+        const net::TallyBucket& x = words.bucket(i);
+        const net::TallyBucket& y = ref.bucket(i);
+        EXPECT_EQ(x.kind, y.kind);
+        EXPECT_EQ(x.phase, y.phase);
+        EXPECT_EQ(x.total, y.total);
+        EXPECT_EQ(x.val_cnt, y.val_cnt);
+        EXPECT_EQ(x.val_flag_cnt, y.val_flag_cnt);
+        std::size_t mismatched = 0;
+        for (std::size_t w = 0; w < nw; ++w) {
+            const std::uint64_t m = x.match[w];
+            mismatched += m != y.match[w] || (m & a.val[w]) != (m & b.val[w]) ||
+                          (m & a.flag[w]) != (m & b.flag[w]) ||
+                          (m & a.coin_pos[w]) != (m & b.coin_pos[w]) ||
+                          (m & a.coin_neg[w]) != (m & b.coin_neg[w]);
+        }
+        EXPECT_EQ(mismatched, 0u) << "words whose match or masked attributes differ";
+        EXPECT_EQ(words.coin_range_sum(x, 0, n), ref.coin_range_sum(y, 0, n));
+        for (int k = 0; k < 4; ++k) {
+            const auto first = static_cast<NodeId>(rng.below(n + 1));
+            const auto last = first + static_cast<NodeId>(rng.below(n - first + 1));
+            EXPECT_EQ(words.coin_range_sum(x, first, last), ref.coin_range_sum(y, first, last))
+                << "[" << first << ", " << last << ")";
+        }
+        queries.emplace_back(x.kind, x.phase);
+    }
+    for (const auto& [kind, phase] : queries) {
+        for (const bool flag : {false, true}) {
+            const auto* da = words.val_delta_plane(kind, phase, flag);
+            const auto* db = ref.val_delta_plane(kind, phase, flag);
+            ASSERT_EQ(da == nullptr, db == nullptr);
+            if (brute) {
+                EXPECT_EQ(da != nullptr, any_byzantine_match(buf, kind, phase, flag));
+            }
+            if (da != nullptr) {
+                EXPECT_TRUE(std::equal(da, da + n, db));
+            }
+        }
+        const auto first = static_cast<NodeId>(rng.below(n + 1));
+        const auto last = first + static_cast<NodeId>(rng.below(n - first + 1));
+        const std::int64_t* ca = words.coin_delta_plane(kind, phase, true, first, last);
+        const std::int64_t* cb = ref.coin_delta_plane(kind, phase, true, first, last);
+        ASSERT_EQ(ca == nullptr, cb == nullptr);
+        if (ca != nullptr) {
+            EXPECT_TRUE(std::equal(ca, ca + n, cb));
+        }
+    }
+}
+
+/// Applies the same script to a word-sending buffer and a per-node one.
+struct TwinBuffers {
+    net::RoundBuffer words;     ///< honest sends through set_word
+    net::RoundBuffer per_node;  ///< the same sends through set_broadcast
+
+    void reset(NodeId n) {
+        words.reset(n);
+        per_node.reset(n);
+    }
+    void begin_round() {
+        words.begin_round();
+        per_node.begin_round();
+    }
+    void corrupt(NodeId v) { EXPECT_EQ(words.corrupt(v), per_node.corrupt(v)) << v; }
+    void send(std::size_t w, MsgKind kind, Phase phase,
+              const net::RoundBuffer::SendWord& sw) {
+        words.set_word(w, kind, phase, sw);
+        for (unsigned i = 0; i < 64; ++i) {
+            if (((sw.present >> i) & 1) == 0) continue;
+            Message m;
+            m.kind = kind;
+            m.phase = phase;
+            m.val = static_cast<Bit>((sw.val >> i) & 1);
+            m.flag = static_cast<std::uint8_t>((sw.flag >> i) & 1);
+            m.coin = static_cast<CoinSign>(((sw.coin_pos >> i) & 1) - ((sw.coin_neg >> i) & 1));
+            per_node.set_broadcast(static_cast<NodeId>(w * 64 + i), m);
+        }
+    }
+};
+
+TEST(WordSend, WordsMatchThePackPassOnTheSameDeliveries) {
+    Xoshiro256 rng(0x5E2D);
+    std::uint64_t adopted = 0, declined = 0, empty = 0;
+    for (const NodeId n : {NodeId{64}, NodeId{100}, NodeId{130}, NodeId{4096}}) {
+        for (const unsigned shards : {1u, 2u, 8u}) {
+            sim::ShardPool pool(shards, 1);
+            for (int iter = 0; iter < 12; ++iter) {
+                SCOPED_TRACE("n=" + std::to_string(n) + " shards=" + std::to_string(shards) +
+                             " iter " + std::to_string(iter));
+                // iter 0: nobody present; iter 1: one per-node send joins
+                // the words; iter 2: two signatures; the rest: one.
+                TwinBuffers twin;
+                twin.reset(n);
+                for (NodeId v = 0; v < n; ++v)
+                    if (rng.bernoulli(0.05)) twin.corrupt(v);
+                twin.begin_round();
+                const Phase phase = static_cast<Phase>(rng.below(5));
+                const MsgKind kind = rng.bernoulli(0.5) ? MsgKind::Vote1 : MsgKind::Vote2;
+                const std::size_t nw = net::kern::word_count(n);
+                const std::vector<std::uint64_t> byz = byz_words_of(twin.words);
+                for (std::size_t w = 0; w < nw; ++w) {
+                    const unsigned width = static_cast<unsigned>(std::min<NodeId>(64, n - w * 64));
+                    const std::uint64_t in_range =
+                        width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+                    net::RoundBuffer::SendWord sw;
+                    sw.present = iter == 0 ? 0 : rng() & rng() & in_range & ~byz[w];
+                    sw.present |= iter == 0 ? 0 : (rng() & in_range & ~byz[w]);
+                    sw.val = rng();
+                    sw.flag = rng();
+                    sw.coin_pos = rng() & rng();
+                    sw.coin_neg = rng() & ~sw.coin_pos;
+                    twin.send(w, kind, iter == 2 && w == nw - 1 ? phase + 1 : phase, sw);
+                }
+                if (iter == 1) {
+                    for (NodeId v = 0; v < n; ++v) {
+                        if (const Message* m = twin.words.broadcast(v)) {
+                            twin.words.set_broadcast(v, *m);
+                            break;
+                        }
+                    }
+                }
+                // The adversary beat: corruptions after the send, then rows
+                // of every shape, some matching the round's query.
+                for (int k = 0; k < 6; ++k) {
+                    const auto v = static_cast<NodeId>(rng.below(n));
+                    if (twin.words.is_honest(v)) twin.corrupt(v);
+                }
+                std::vector<NodeId> byz_ids;
+                for (NodeId v = 0; v < n; ++v)
+                    if (!twin.words.is_honest(v)) byz_ids.push_back(v);
+                Message forged;
+                forged.kind = kind;
+                forged.phase = phase;
+                forged.flag = static_cast<std::uint8_t>(rng.below(2));
+                forged.val = static_cast<Bit>(rng.below(2));
+                forged.coin = -1;
+                std::vector<NodeId> rowless;
+                for (const NodeId u : byz_ids) {
+                    const double shape = rng.uniform01();
+                    if (shape < 0.3) {
+                        Message other = forged;
+                        other.val ^= 1;
+                        other.phase = rng.bernoulli(0.5) ? phase : phase + 7;
+                        const auto boundary = static_cast<NodeId>(rng.below(n + 1));
+                        twin.words.apply_pattern(u, &forged, &other, boundary);
+                        twin.per_node.apply_pattern(u, &forged, &other, boundary);
+                    } else if (shape < 0.5) {
+                        const auto to = static_cast<NodeId>(rng.below(n));
+                        twin.words.deliver(u, to, forged);
+                        twin.per_node.deliver(u, to, forged);
+                    } else {
+                        rowless.push_back(u);
+                    }
+                }
+                if (rng.bernoulli(0.7)) {  // one shared slot, as the coin split sends it
+                    std::vector<Message> cells(n, forged);
+                    for (Message& c : cells) c.coin = rng.bernoulli(0.5) ? 1 : -1;
+                    twin.words.deliver_shared(rowless, cells);
+                    twin.per_node.deliver_shared(rowless, cells);
+                }
+
+                net::RoundTally a, b;
+                a.rebuild(twin.words, true, &pool);
+                b.rebuild(twin.per_node, true, &pool);
+                // A single-word round cannot carry a second signature.
+                EXPECT_EQ(a.words_adopted(), iter == 2 ? nw == 1 : iter != 1);
+                EXPECT_FALSE(b.words_adopted());
+                adopted += a.words_adopted();
+                declined += !a.words_adopted();
+                if (iter == 0) {
+                    EXPECT_EQ(a.bucket_count(), 0u);
+                    ++empty;
+                }
+                expect_tallies_eq(a, b, twin.words, {{kind, phase}}, rng, n <= 130);
+            }
+        }
+    }
+    EXPECT_GT(adopted, 0u);
+    EXPECT_GT(declined, 0u);
+    EXPECT_GT(empty, 0u);
+}
+
+/// Forwards every virtual to a registry batch and, at each flat receive
+/// beat, pins the engine's tally to the pack pass over a copy of the
+/// round's deliveries whose honest broadcasts are re-sent one sender at a
+/// time (set_broadcast takes a round off the word path).
+class WordPinBatch final : public net::BatchProtocol {
+public:
+    explicit WordPinBatch(std::unique_ptr<net::BatchProtocol> inner) : in_(std::move(inner)) {}
+
+    NodeId n() const override { return in_->n(); }
+    void send_all(Round r, net::RoundBuffer& buf) override { in_->send_all(r, buf); }
+    void receive_all(Round r, const net::RoundBuffer& buf,
+                     const net::RoundTally& tally) override {
+        pin(r, buf, tally);
+        in_->receive_all(r, buf, tally);
+    }
+    void receive_all(Round r, const net::RoundBuffer& buf,
+                     const net::DeliverySource& src) override {
+        in_->receive_all(r, buf, src);
+    }
+    bool shardable() const override { return in_->shardable(); }
+    void send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId hi) override {
+        in_->send_range(r, buf, lo, hi);
+    }
+    void receive_prepare(Round r, const net::RoundBuffer& buf,
+                         const net::RoundTally& tally) override {
+        pin(r, buf, tally);
+        in_->receive_prepare(r, buf, tally);
+    }
+    void receive_range(Round r, const net::RoundBuffer& buf, const net::RoundTally& tally,
+                       NodeId lo, NodeId hi) override {
+        in_->receive_range(r, buf, tally, lo, hi);
+    }
+    const std::uint8_t* halted_plane() const override { return in_->halted_plane(); }
+    Bit value(NodeId v) const override { return in_->value(v); }
+    bool decided(NodeId v) const override { return in_->decided(v); }
+    Bit output(NodeId v) const override { return in_->output(v); }
+    const Bit* value_plane() const override { return in_->value_plane(); }
+    const std::uint8_t* decided_plane() const override { return in_->decided_plane(); }
+
+    std::uint64_t rounds = 0;
+    std::uint64_t adopted = 0;
+
+private:
+    void pin(Round r, const net::RoundBuffer& buf, const net::RoundTally& tally) {
+        ++rounds;
+        adopted += tally.words_adopted();
+        net::RoundBuffer copy = buf;
+        for (NodeId v = 0; v < buf.n(); ++v)
+            if (const Message* m = buf.broadcast(v)) copy.set_broadcast(v, *m);
+        net::RoundTally ref;
+        ref.rebuild(copy, true, nullptr);
+        ASSERT_TRUE(!ref.words_adopted() || ref.bucket_count() == 0);
+        const Phase p = r / 2;
+        expect_tallies_eq(tally, ref, buf, {{MsgKind::Vote1, p}, {MsgKind::Vote2, p}}, rng_,
+                          buf.n() <= 100);
+    }
+
+    std::unique_ptr<net::BatchProtocol> in_;
+    Xoshiro256 rng_{0xA11};
+};
+
+TEST(WordSend, EveryRoundOfTheSkeletonMatchesThePackPass) {
+    const char* protocols[] = {"ours", "chor-coan", "chor-coan-rushing", "rabin-dealer",
+                               "local-coin"};
+    const char* adversaries[] = {"static", "worst-case", "crash-random",
+                                 "crash-targeted-coin", "chaos", "balancer"};
+    std::uint64_t rounds = 0, adopted = 0, cells = 0;
+    for (const NodeId n : {NodeId{64}, NodeId{100}, NodeId{4096}}) {
+        for (const unsigned shards : {1u, 2u, 8u}) {
+            sim::ShardPool pool(shards, 1);
+            for (const char* protocol : protocols) {
+                for (const char* adversary : adversaries) {
+                    sim::Scenario s = sim::Scenario::parse(
+                        std::string("protocol=") + protocol + " adversary=" + adversary +
+                        " inputs=split n=" + std::to_string(n));
+                    const sim::ProtocolEntry& entry =
+                        sim::ProtocolRegistry::instance().at(s.protocol);
+                    s.t = n == 4096 ? 64 : max_t(entry, n);
+                    s.local_coin_phases = 12;
+                    if (!sim::compatible(s)) continue;
+                    ++cells;
+                    SCOPED_TRACE(s.describe() + " shards=" + std::to_string(shards));
+                    const sim::ScenarioPlan plan = sim::validate(s);
+                    TrialParts parts = trial_parts(plan, 7);
+                    ASSERT_NE(parts.bundle.batch, nullptr);
+                    parts.cfg.intra = &pool;
+                    auto pinned = std::make_unique<WordPinBatch>(std::move(parts.bundle.batch));
+                    WordPinBatch& pin = *pinned;
+                    net::Engine eng(parts.cfg, std::move(pinned), *parts.adversary);
+                    const net::RunResult res = eng.run();
+                    rounds += pin.rounds;
+                    adopted += pin.adopted;
+                    // The decorated, sharded trial is the runner's trial.
+                    const sim::TrialResult runner = sim::run_trial(plan, 7);
+                    EXPECT_EQ(runner.rounds, res.rounds);
+                    EXPECT_EQ(runner.metrics.honest_messages, res.metrics.honest_messages);
+                    EXPECT_EQ(runner.metrics.honest_bits, res.metrics.honest_bits);
+                    EXPECT_EQ(runner.metrics.byzantine_messages,
+                              res.metrics.byzantine_messages);
+                    EXPECT_EQ(runner.metrics.corruptions, res.metrics.corruptions);
+                }
+            }
+        }
+    }
+    EXPECT_GE(cells, 60u) << "registry coverage unexpectedly low";
+    EXPECT_EQ(adopted, rounds) << "every skeleton round should arrive as words";
+}
+
+// ---------------------------------------------------------------------------
+// Uniform-count receive: with no Byzantine delivery matching the vote query
+// the skeleton decides once for every receiver.
+
+TEST(UniformReceive, MatchesReferenceDeliveryAndTheAdapter) {
+    // Split inputs and three phases: private coins rarely agree in time, so
+    // the WhpFixedPhases last-phase halt ends runs, and n % 8 != 0 leaves a
+    // per-node tail after the eight-wide updates.
+    std::uint64_t exhausted = 0;
+    for (const char* protocol : {"local-coin", "rabin-dealer", "ours", "chor-coan"}) {
+        for (const char* adversary : {"static", "crash-random", "chaos"}) {
+            for (const NodeId n : {NodeId{100}, NodeId{133}}) {
+                sim::Scenario s = sim::Scenario::parse(
+                    std::string("protocol=") + protocol + " adversary=" + adversary +
+                    " inputs=split n=" + std::to_string(n) + " t=" + std::to_string(n / 8));
+                s.local_coin_phases = 3;
+                if (!sim::compatible(s)) continue;
+                SCOPED_TRACE(s.describe());
+                const sim::ExecutorConfig serial{1, 0};
+                const sim::Aggregate flat = sim::run_trials(s, 0xC0DE, 8, serial);
+                sim::Scenario ref = s;
+                ref.reference_delivery = true;
+                expect_aggregate_eq(flat, sim::run_trials(ref, 0xC0DE, 8, serial));
+                sim::Scenario adapter = s;
+                adapter.use_batch = false;
+                expect_aggregate_eq(flat, sim::run_trials(adapter, 0xC0DE, 8, serial));
+                if (std::string(protocol) == "local-coin")
+                    for (const double r : flat.rounds.values()) exhausted += r == 6.0;
+            }
+        }
+    }
+    EXPECT_GT(exhausted, 0u) << "no run reached the last-phase halt";
+}
+
+/// One skeleton batch stepped by hand over its own buffer and tally.
+struct HandStepped {
+    HandStepped(const core::SkeletonConfig& cfg, core::BatchCoinSpec coin,
+                const std::vector<Bit>& inputs)
+        : batch(cfg, std::move(coin), inputs, SeedTree(11)) {
+        buf.reset(cfg.n);
+    }
+    core::SkeletonBatch batch;
+    net::RoundBuffer buf;
+    net::RoundTally tally;
+};
+
+TEST(UniformReceive, DeltaPathAgreesWhenDeltasMissEveryLiveReceiver) {
+    // Twin batches over the same rounds. In the second, a Byzantine sender
+    // delivers a matching vote to itself only: the delta plane exists, so
+    // the per-node path runs, yet every live receiver's counts equal the
+    // uniform twin's. Values, decided bits, halts and Local-coin draws must
+    // agree round by round.
+    const NodeId n = 203;
+    const core::SkeletonConfig cfg{n, 20, 4, core::AgreementMode::WhpFixedPhases};
+    std::vector<Bit> inputs(n);
+    for (NodeId v = 0; v < n; ++v) inputs[v] = static_cast<Bit>(v % 2);
+    for (const auto kind : {core::BatchCoinSpec::Kind::Local, core::BatchCoinSpec::Kind::Dealer}) {
+        core::BatchCoinSpec coin;
+        coin.kind = kind;
+        coin.dealer = [](Phase p) { return static_cast<Bit>(p % 2); };
+        HandStepped uniform(cfg, coin, inputs), delta(cfg, coin, inputs);
+        std::uint64_t delta_rounds = 0;
+        for (Round r = 0; r < 2 * cfg.phases; ++r) {
+            SCOPED_TRACE("round " + std::to_string(r));
+            const NodeId byz = 17 * r + 5;
+            for (HandStepped* h : {&uniform, &delta}) {
+                h->buf.begin_round();
+                h->batch.send_all(r, h->buf);
+                if (h->buf.is_honest(byz) && !h->batch.halted_plane()[byz]) h->buf.corrupt(byz);
+            }
+            Message m;
+            m.kind = r % 2 ? MsgKind::Vote2 : MsgKind::Vote1;
+            m.phase = r / 2;
+            m.flag = 1;
+            if (!delta.buf.is_honest(byz)) delta.buf.deliver(byz, byz, m);
+            for (HandStepped* h : {&uniform, &delta}) {
+                h->tally.rebuild(h->buf, true, nullptr);
+                h->batch.receive_all(r, h->buf, h->tally);
+            }
+            EXPECT_EQ(uniform.tally.val_delta_plane(m.kind, m.phase, r % 2 != 0), nullptr);
+            delta_rounds += delta.tally.val_delta_plane(m.kind, m.phase, r % 2 != 0) != nullptr;
+            for (NodeId v = 0; v < n; ++v) {
+                ASSERT_EQ(uniform.batch.value(v), delta.batch.value(v)) << v;
+                ASSERT_EQ(uniform.batch.decided(v), delta.batch.decided(v)) << v;
+                ASSERT_EQ(uniform.batch.halted_plane()[v], delta.batch.halted_plane()[v]) << v;
+            }
+        }
+        EXPECT_GT(delta_rounds, 0u);
+        // The last-phase halt fired for every node still running.
+        for (NodeId v = 0; v < n; ++v) {
+            if (uniform.buf.is_honest(v)) {
+                EXPECT_EQ(uniform.batch.halted_plane()[v], 1) << v;
+            }
+        }
+    }
+}
+
+TEST(UniformReceive, ContractsFireOnlyWithALiveReceiver) {
+    // Round 2 with honest decided votes split 32/32 and t = 31: both values
+    // reach t+1, which Lemma 3 forbids. Receivers [64, 128) are all
+    // Byzantine, so that range must step without a word; [0, 64) has live
+    // receivers and must throw.
+    const NodeId n = 128;
+    const core::SkeletonConfig cfg{n, 31, 4, core::AgreementMode::WhpFixedPhases};
+    core::BatchCoinSpec coin;
+    coin.kind = core::BatchCoinSpec::Kind::Local;
+    HandStepped h(cfg, coin, std::vector<Bit>(n, 0));
+    for (NodeId v = 64; v < n; ++v) h.buf.corrupt(v);
+    h.buf.begin_round();
+    net::RoundBuffer::SendWord votes;
+    votes.present = ~std::uint64_t{0};
+    votes.val = 0xFFFFFFFF00000000ULL;
+    votes.flag = ~std::uint64_t{0};
+    h.buf.set_word(0, MsgKind::Vote2, 0, votes);
+    h.buf.set_word(1, MsgKind::Vote2, 0, net::RoundBuffer::SendWord{});
+    h.tally.rebuild(h.buf, true, nullptr);
+    ASSERT_TRUE(h.tally.words_adopted());
+    h.batch.receive_prepare(1, h.buf, h.tally);
+    EXPECT_NO_THROW(h.batch.receive_range(1, h.buf, h.tally, 64, n));
+    try {
+        h.batch.receive_range(1, h.buf, h.tally, 0, 64);
+        ADD_FAILURE() << "Lemma 3 violation went unreported";
+    } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("Lemma 3"), std::string::npos) << e.what();
+    }
 }
 
 // ---------------------------------------------------------------------------
