@@ -564,7 +564,7 @@ const std::int64_t* RoundTally::coin_delta_plane(MsgKind kind, Phase phase,
         const CoinCache& cc = coin_caches_[c];
         if (cc.kind == kind && cc.phase == phase && cc.check_phase == check_phase &&
             cc.first == first && cc.last == last)
-            return cc.delta.data();
+            return cc.any ? cc.delta.data() : nullptr;
     }
     if (coin_caches_.size() <= coin_caches_in_use_)
         coin_caches_.resize(coin_caches_in_use_ + 1);
@@ -575,7 +575,10 @@ const std::int64_t* RoundTally::coin_delta_plane(MsgKind kind, Phase phase,
     cc.first = first;
     cc.last = last;
     const NodeId n = buf_->n();
-    cc.delta.assign(n, 0);
+    // The plane is built on the first Byzantine coin that reaches a
+    // receiver; with none it stays unbuilt and the query answers nullptr.
+    cc.any = false;
+    const auto touch = [&] { if (!std::exchange(cc.any, true)) cc.delta.assign(n, 0); };
     const auto sign_of = [&](const Message& m) -> std::int64_t {
         if (m.kind != kind || (check_phase && m.phase != phase)) return 0;
         if (m.coin > 0) return 1;
@@ -597,6 +600,7 @@ const std::int64_t* RoundTally::coin_delta_plane(MsgKind kind, Phase phase,
             const NodeId lo = side == 0 ? 0 : p.boundary;
             const NodeId hi = side == 0 ? p.boundary : n;
             if (lo >= hi) continue;
+            touch();
             cc.delta[lo] += d;
             if (hi < n) cc.delta[hi] -= d;
             any_pattern = true;
@@ -607,10 +611,14 @@ const std::int64_t* RoundTally::coin_delta_plane(MsgKind kind, Phase phase,
     for_each_weighted_slot(first, last, [&](const Message* msgs,
                                             const std::uint8_t* present, Count w) {
         const auto weight = static_cast<std::int64_t>(w);
-        for (NodeId v = 0; v < n; ++v)
-            if (present[v] != 0) cc.delta[v] += weight * sign_of(msgs[v]);
+        for (NodeId v = 0; v < n; ++v) {
+            const std::int64_t d = present[v] != 0 ? sign_of(msgs[v]) : 0;
+            if (d == 0) continue;
+            touch();
+            cc.delta[v] += weight * d;
+        }
     });
-    return cc.delta.data();
+    return cc.any ? cc.delta.data() : nullptr;
 }
 
 std::int64_t RoundTally::coin_delta(MsgKind kind, Phase phase, bool check_phase,

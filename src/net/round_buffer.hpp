@@ -368,7 +368,8 @@ public:
     const std::array<Count, 2>* val_deltas(MsgKind kind, Phase phase,
                                            bool require_flag, NodeId receiver) const;
     /// Whole per-receiver Byzantine coin-sum delta plane over senders in
-    /// [first, last); nullptr when the round has no Byzantine rows.
+    /// [first, last); nullptr when no Byzantine coin from that range
+    /// reaches a receiver (callers read nullptr as all-zero deltas).
     const std::int64_t* coin_delta_plane(MsgKind kind, Phase phase, bool check_phase,
                                          NodeId first, NodeId last) const;
     /// Per-receiver Byzantine coin-sum delta over senders in [first, last).
@@ -395,6 +396,7 @@ private:
         bool check_phase = false;
         NodeId first = 0;
         NodeId last = 0;
+        bool any = false;  ///< some Byzantine coin reaches a receiver
         std::vector<std::int64_t> delta;  ///< [n]
     };
 

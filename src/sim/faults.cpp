@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <thread>
-#include <vector>
 
 #include "rand/rng.hpp"
 #include "support/cli.hpp"
 #include "support/contracts.hpp"
+#include "support/spec.hpp"
 
 namespace adba::sim {
 
@@ -36,122 +35,32 @@ enum : std::uint64_t {
     kSiteTrial = 0x55,
 };
 
-void split_tokens(const std::string& spec, std::vector<std::string>& out) {
-    std::string cur;
-    for (char c : spec) {
-        if (c == ' ' || c == '\t' || c == '\n' || c == ',') {
-            if (!cur.empty()) out.push_back(std::move(cur)), cur.clear();
-        } else {
-            cur.push_back(c);
-        }
-    }
-    if (!cur.empty()) out.push_back(std::move(cur));
-}
-
-double parse_rate(const std::string& key, const std::string& v) {
-    std::size_t pos = 0;
-    double r = 0.0;
-    try {
-        r = std::stod(v, &pos);
-    } catch (const std::exception&) {
-        pos = std::string::npos;
-    }
-    ADBA_EXPECTS_MSG(pos == v.size() && r >= 0.0 && r <= 1.0,
-                     "fault key '" + key + "' wants a rate in [0,1], got '" + v + "'");
-    return r;
-}
-
-std::uint64_t parse_u64_value(const std::string& key, const std::string& v) {
-    std::size_t pos = 0;
-    unsigned long long r = 0;
-    try {
-        r = std::stoull(v, &pos);
-    } catch (const std::exception&) {
-        pos = std::string::npos;
-    }
-    ADBA_EXPECTS_MSG(pos == v.size(),
-                     "fault key '" + key + "' wants an unsigned integer, got '" + v + "'");
-    return static_cast<std::uint64_t>(r);
-}
-
-std::int64_t parse_i64_value(const std::string& key, const std::string& v) {
-    std::size_t pos = 0;
-    long long r = 0;
-    try {
-        r = std::stoll(v, &pos);
-    } catch (const std::exception&) {
-        pos = std::string::npos;
-    }
-    ADBA_EXPECTS_MSG(pos == v.size(),
-                     "fault key '" + key + "' wants an integer, got '" + v + "'");
-    return static_cast<std::int64_t>(r);
-}
-
-void append_rate(std::ostringstream& os, const char* key, double rate) {
-    // Round-trippable rate formatting: max_digits10 keeps parse(describe())
-    // exact for every representable double.
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", rate);
-    os << ' ' << key << '=' << buf;
-}
-
 }  // namespace
 
-FaultConfig FaultConfig::parse(const std::string& spec) {
-    FaultConfig c;
-    std::vector<std::string> tokens;
-    split_tokens(spec, tokens);
-    for (const std::string& tok : tokens) {
-        auto eq = tok.find('=');
-        ADBA_EXPECTS_MSG(eq != std::string::npos && eq > 0,
-                         "fault spec token '" + tok + "' is not key=value");
-        const std::string key = tok.substr(0, eq);
-        const std::string val = tok.substr(eq + 1);
-        if (key == "seed") {
-            c.seed = parse_u64_value(key, val);
-        } else if (key == "shard_death") {
-            c.shard_death = parse_rate(key, val);
-        } else if (key == "shard_death_shard") {
-            c.shard_death_shard = parse_i64_value(key, val);
-        } else if (key == "stall_rate") {
-            c.stall_rate = parse_rate(key, val);
-        } else if (key == "stall_ms") {
-            c.stall_ms = static_cast<std::uint32_t>(parse_u64_value(key, val));
-        } else if (key == "alloc_rate") {
-            c.alloc_rate = parse_rate(key, val);
-        } else if (key == "trial_rate") {
-            c.trial_rate = parse_rate(key, val);
-        } else if (key == "beat_delay_rate") {
-            c.beat_delay_rate = parse_rate(key, val);
-        } else if (key == "beat_delay_ms") {
-            c.beat_delay_ms = static_cast<std::uint32_t>(parse_u64_value(key, val));
-        } else if (key == "max_attempts") {
-            c.max_attempts = static_cast<std::uint32_t>(parse_u64_value(key, val));
-            ADBA_EXPECTS_MSG(c.max_attempts >= 1, "max_attempts must be >= 1");
-        } else {
-            ADBA_EXPECTS_MSG(false,
-                             "unknown fault key '" + key +
-                                 "' (known: seed shard_death shard_death_shard "
-                                 "stall_rate stall_ms alloc_rate trial_rate "
-                                 "beat_delay_rate beat_delay_ms max_attempts)");
-        }
-    }
-    return c;
-}
-
-std::string FaultConfig::describe() const {
-    std::ostringstream os;
-    os << "seed=" << seed;
-    if (shard_death > 0.0) append_rate(os, "shard_death", shard_death);
-    if (shard_death_shard >= 0) os << " shard_death_shard=" << shard_death_shard;
-    if (stall_rate > 0.0) append_rate(os, "stall_rate", stall_rate);
-    if (stall_ms != 0) os << " stall_ms=" << stall_ms;
-    if (alloc_rate > 0.0) append_rate(os, "alloc_rate", alloc_rate);
-    if (trial_rate > 0.0) append_rate(os, "trial_rate", trial_rate);
-    if (beat_delay_rate > 0.0) append_rate(os, "beat_delay_rate", beat_delay_rate);
-    if (beat_delay_ms != 0) os << " beat_delay_ms=" << beat_delay_ms;
-    if (max_attempts != 3) os << " max_attempts=" << max_attempts;
-    return os.str();
+const spec::Table<FaultConfig>& FaultConfig::keys() {
+    using F = FaultConfig;
+    using spec::key;
+    const spec::Real rate{0.0, 1.0};
+    static const spec::Table<F> table(
+        "fault",
+        {key<F>("seed", "injector decision seed", &F::seed,
+                spec::Int<std::uint64_t>{}, spec::Print::Always),
+         key<F>("shard_death", "P(a shard task throws)", &F::shard_death, rate),
+         key<F>("shard_death_shard", "-1 = any shard, else only this shard dies",
+                &F::shard_death_shard, spec::Int<std::int64_t>{}),
+         key<F>("stall_rate", "P(a shard task stalls)", &F::stall_rate, rate),
+         key<F>("stall_ms", "stall length", &F::stall_ms,
+                spec::Int<std::uint32_t>{}),
+         key<F>("alloc_rate", "P(chunk arena construction fails)", &F::alloc_rate, rate),
+         key<F>("trial_rate", "P(a trial is consumed by a permanent fault)",
+                &F::trial_rate, rate),
+         key<F>("beat_delay_rate", "P(a round beat sleeps beat_delay_ms)",
+                &F::beat_delay_rate, rate),
+         key<F>("beat_delay_ms", "beat delay length", &F::beat_delay_ms,
+                spec::Int<std::uint32_t>{}),
+         key<F>("max_attempts", "regular chunk attempts before the degraded one",
+                &F::max_attempts, spec::Int<std::uint32_t>{1})});
+    return table;
 }
 
 void FaultInjector::arm(const FaultConfig& cfg) {

@@ -28,34 +28,29 @@
 #include <stdexcept>
 #include <string>
 
+#include "support/spec.hpp"
 #include "support/types.hpp"
-
-namespace adba {
-class Cli;
-}
 
 namespace adba::sim {
 
-/// Scenario/CLI-selectable fault plan (`--faults="key=value ..."`).
-/// Rates are probabilities in [0, 1]; 1 fires at every eligible site.
+/// Scenario/CLI-selectable fault plan (`--faults="key=value ..."`). Each
+/// field is the spec key of the same name (keys()). Rates are probabilities
+/// in [0, 1]; 1 fires at every eligible site.
 struct FaultConfig {
-    std::uint64_t seed = 1;        ///< key `seed`: injector decision seed
-    double shard_death = 0.0;      ///< key `shard_death`: P(shard task throws)
-    std::int64_t shard_death_shard = -1;  ///< key `shard_death_shard`:
-                                          ///< -1 = any shard, else only this
+    std::uint64_t seed = 1;               ///< injector decision seed
+    double shard_death = 0.0;             ///< P(shard task throws)
+    std::int64_t shard_death_shard = -1;  ///< -1 = any shard, else only this
                                           ///< logical shard index dies
-    double stall_rate = 0.0;       ///< key `stall_rate`: P(shard task stalls)
-    std::uint32_t stall_ms = 0;    ///< key `stall_ms`: stall length
-    double alloc_rate = 0.0;       ///< key `alloc_rate`: P(chunk arena
-                                   ///< construction fails)
-    double trial_rate = 0.0;       ///< key `trial_rate`: P(trial is consumed
-                                   ///< by a permanent fault) — keyed by trial
-                                   ///< index, reported as TrialOutcome::Faulted
-    double beat_delay_rate = 0.0;  ///< key `beat_delay_rate`: P(round beat
-                                   ///< sleeps beat_delay_ms)
-    std::uint32_t beat_delay_ms = 0;  ///< key `beat_delay_ms`
-    std::uint32_t max_attempts = 3;   ///< key `max_attempts`: regular chunk
-                                      ///< attempts before the degraded one
+    double stall_rate = 0.0;              ///< P(shard task stalls)
+    std::uint32_t stall_ms = 0;           ///< stall length
+    double alloc_rate = 0.0;              ///< P(chunk arena construction fails)
+    double trial_rate = 0.0;  ///< P(trial is consumed by a permanent fault),
+                              ///< keyed by trial index and reported as
+                              ///< TrialOutcome::Faulted
+    double beat_delay_rate = 0.0;     ///< P(round beat sleeps beat_delay_ms)
+    std::uint32_t beat_delay_ms = 0;  ///< beat delay length
+    std::uint32_t max_attempts = 3;   ///< regular chunk attempts before the
+                                      ///< degraded one
 
     /// True when any transient (chunk-retryable) fault is armed.
     bool any_transient() const {
@@ -63,11 +58,15 @@ struct FaultConfig {
                beat_delay_rate > 0.0;
     }
 
-    /// Builds a config from a `key=value ...` spec (same tokenizer semantics
-    /// as Scenario::parse); unknown keys throw ContractViolation with the
-    /// accepted list. `FaultConfig::parse(c.describe()) == c`.
-    static FaultConfig parse(const std::string& spec);
-    std::string describe() const;
+    /// The spec keys, one row each (faults.cpp): rates must lie in [0, 1]
+    /// and max_attempts be >= 1.
+    static const spec::Table<FaultConfig>& keys();
+
+    /// Builds a config from a `key=value ...` spec (keys(), read by the same
+    /// tokenizer as Scenario::parse); unknown keys throw ContractViolation
+    /// with the accepted list. `FaultConfig::parse(c.describe()) == c`.
+    static FaultConfig parse(const std::string& spec) { return keys().parse(spec); }
+    std::string describe() const { return keys().describe(*this); }
 
     friend bool operator==(const FaultConfig&, const FaultConfig&) = default;
 };

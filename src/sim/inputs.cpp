@@ -37,14 +37,14 @@ bool unanimous(const std::vector<Bit>& inputs) {
     return true;
 }
 
-std::string to_string(InputPattern pattern) {
-    switch (pattern) {
-        case InputPattern::AllZero: return "all-zero";
-        case InputPattern::AllOne: return "all-one";
-        case InputPattern::Split: return "split";
-        case InputPattern::Random: return "random";
-    }
-    return "?";
+const spec::Choice<InputPattern>& input_pattern_names() {
+    using P = InputPattern;
+    static const spec::Choice<P> names{{{"all-zero", P::AllZero}, {"zeros", P::AllZero},
+                                        {"all-one", P::AllOne}, {"ones", P::AllOne},
+                                        {"split", P::Split}, {"random", P::Random}}};
+    return names;
 }
+
+std::string to_string(InputPattern pattern) { return input_pattern_names().print(pattern); }
 
 }  // namespace adba::sim

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "rand/seed_tree.hpp"
+#include "support/spec.hpp"
 #include "support/types.hpp"
 
 namespace adba::sim {
@@ -26,6 +27,10 @@ void make_inputs(InputPattern pattern, NodeId n, const SeedTree& seeds,
 
 /// True iff every node holds the same input (validity clause applies).
 bool unanimous(const std::vector<Bit>& inputs);
+
+/// The names a spec accepts (key `inputs`); each pattern's first name is
+/// its canonical one, which to_string returns.
+const spec::Choice<InputPattern>& input_pattern_names();
 
 std::string to_string(InputPattern pattern);
 

@@ -6,6 +6,7 @@
 #include "rand/rng.hpp"
 #include "sim/checkpoint.hpp"
 #include "support/contracts.hpp"
+#include "support/spec.hpp"
 #include "support/table.hpp"
 
 namespace adba::sim {
@@ -185,9 +186,9 @@ std::string MacroWorkload::checkpoint_scope(const Plan& plan) {
     const MacroScenario& s = plan.scenario;
     return "n=" + std::to_string(s.n) + " t=" + std::to_string(s.t) +
            " q=" + std::to_string(s.q) + " schedule=" + to_string(s.schedule) +
-           " alpha=" + std::to_string(s.tuning.alpha) +
-           " gamma=" + std::to_string(s.tuning.gamma) +
-           " beta=" + std::to_string(s.tuning.beta);
+           " alpha=" + spec::format_double(s.tuning.alpha) +
+           " gamma=" + spec::format_double(s.tuning.gamma) +
+           " beta=" + spec::format_double(s.tuning.beta);
 }
 
 void MacroWorkload::checkpoint_encode(const MacroAggregate& agg, std::string& out) {

@@ -239,16 +239,18 @@ MvAggregate run_mv_trials(const MvScenario& s, std::uint64_t base_seed, Count tr
     return run_trials<MvWorkload>(s, base_seed, trials, exec);
 }
 
-std::string to_string(MvInputPattern p) {
-    switch (p) {
-        case MvInputPattern::AllSame: return "all-same";
-        case MvInputPattern::TwoBlocks: return "two-blocks";
-        case MvInputPattern::Distinct: return "all-distinct";
-        case MvInputPattern::RandomTiny: return "random(4)";
-        case MvInputPattern::NearQuorum: return "near-quorum(60%)";
-    }
-    return "?";
+const spec::Choice<MvInputPattern>& mv_input_pattern_names() {
+    using P = MvInputPattern;
+    static const spec::Choice<P> names{
+        {{"all-same", P::AllSame},
+         {"two-blocks", P::TwoBlocks},
+         {"all-distinct", P::Distinct}, {"distinct", P::Distinct},
+         {"random(4)", P::RandomTiny}, {"random", P::RandomTiny}, {"random-tiny", P::RandomTiny},
+         {"near-quorum(60%)", P::NearQuorum}, {"near-quorum", P::NearQuorum}}};
+    return names;
 }
+
+std::string to_string(MvInputPattern p) { return mv_input_pattern_names().print(p); }
 
 std::string to_string(MvAdversaryKind a) {
     return MvAdversaryRegistry::instance().at(a).display;

@@ -2,9 +2,9 @@
 // Separate from the binary runner because inputs, outputs, and agreement
 // evaluation are over words, not bits — but it is the same Monte-Carlo
 // machine, so it rides the workload-generic kernel (sim/workload.hpp) and
-// has full scenario parity with the binary stack: parse/describe
-// round-tripping, a hoisted plan, the `q` corruption cap, and the
-// `reference`/`batch` engine toggles.
+// shares the binary stack's scenario machinery: a parse/describe key table,
+// a hoisted plan, the `q` corruption cap, and the `reference`/`simd` engine
+// toggles.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include "core/multivalued.hpp"
 #include "sim/executor.hpp"
 #include "sim/workload.hpp"
+#include "support/spec.hpp"
 #include "support/stats.hpp"
 #include "support/types.hpp"
 
@@ -37,6 +38,8 @@ enum class MvAdversaryKind : std::uint8_t {
     PreludePlusWorstCase,  ///< half budget equivocating the prelude, half inner
 };
 
+/// One multi-valued scenario. Its spec keys, and which field each sets, are
+/// the rows of keys().
 struct MvScenario {
     NodeId n = 0;
     Count t = 0;            ///< protocol fault tolerance / engine budget
@@ -50,42 +53,28 @@ struct MvScenario {
     /// probing) instead of the flat plane — the same oracle toggle the
     /// binary scenario carries (`reference=true`).
     bool reference_delivery = false;
-    /// Scenario key `batch`. The Turpin-Coan node set ships no native SoA
-    /// batch yet, so both settings step through the pooled PerNodeBatch
-    /// adapter today; the key is carried (and round-tripped) so specs stay
-    /// portable with the binary stack and forward-compatible with a native
-    /// mv batch.
-    bool use_batch = true;
-    /// Build round tallies with the word-packed popcount kernels (scenario
-    /// key `simd`); `simd=off` keeps the scalar byte-plane build — the
-    /// oracle toggle shared with the binary stack. The mv word histograms
-    /// are the word-sliced packed path this exercises.
+    /// Build round tallies with the word-packed popcount kernels; `simd=off`
+    /// keeps the scalar byte-plane build — the oracle toggle shared with the
+    /// binary stack. The mv word histograms are the word-sliced packed path
+    /// this exercises.
     bool use_simd = true;
-    /// Scenario key `plane`. The Turpin-Coan stack has no sparse batch
-    /// (per-word histograms don't fit the bit-plane sampling), so only
-    /// `plane=flat` validates today; the key is parsed for spec parity with
-    /// the binary stack and why_incompatible rejects `plane=sparse` with an
-    /// actionable message.
-    bool sparse_plane = false;
-    /// Scenario key `sample_degree`; carried and round-tripped for spec
-    /// parity, meaningful only once an mv sparse batch exists.
-    Count sample_degree = 0;
-    /// Per-trial wall-clock watchdog in ms (scenario key `watchdog_ms`);
-    /// 0 = off. Same semantics as the binary scenario's key — the guard for
-    /// `las_vegas=true` inner protocols whose round cap is generous by
-    /// design. Wall-clock dependent, so armed sweeps are not
-    /// bit-reproducible.
+    /// Per-trial wall-clock watchdog in ms; 0 = off. Same semantics as the
+    /// binary scenario's key — the guard for `las_vegas=true` inner
+    /// protocols whose round cap is generous by design. Wall-clock
+    /// dependent, so armed sweeps are not bit-reproducible.
     std::uint32_t watchdog_ms = 0;
 
-    /// Builds a scenario from a `key=value ...` spec string, resolving
-    /// adversary/input names through MvAdversaryRegistry. Keys: adversary,
-    /// inputs, n, t, q, alpha, gamma, beta, fallback, las_vegas, reference,
-    /// batch, simd, plane, sample_degree, watchdog_ms. Unknown keys or
-    /// names throw ContractViolation with the accepted alternatives.
-    static MvScenario parse(const std::string& spec);
+    /// The spec keys, one row each (defined in registry.cpp; `adba_sim
+    /// --workload=mv --help` prints them).
+    static const spec::Table<MvScenario>& keys();
+
+    /// Builds a scenario from a `key=value ...` spec string (keys()),
+    /// resolving adversary/input names through MvAdversaryRegistry. Unknown
+    /// keys or names throw ContractViolation with the accepted alternatives.
+    static MvScenario parse(const std::string& spec) { return keys().parse(spec); }
 
     /// Canonical spec string; `MvScenario::parse(s.describe()) == s`.
-    std::string describe() const;
+    std::string describe() const { return keys().describe(*this); }
 
     friend bool operator==(const MvScenario&, const MvScenario&) = default;
 };
@@ -159,6 +148,10 @@ struct MvWorkload {
 /// Runs on the workload-generic kernel; bit-identical at any thread count.
 MvAggregate run_mv_trials(const MvScenario& s, std::uint64_t base_seed, Count trials,
                           const ExecutorConfig& exec = {});
+
+/// The names a spec accepts (key `inputs`); each pattern's first name is
+/// its canonical one, which to_string returns.
+const spec::Choice<MvInputPattern>& mv_input_pattern_names();
 
 std::string to_string(MvInputPattern p);
 std::string to_string(MvAdversaryKind a);

@@ -1,10 +1,5 @@
 #include "sim/registry.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <sstream>
-
 #include "adversary/balancer.hpp"
 #include "adversary/chaos.hpp"
 #include "adversary/composite.hpp"
@@ -23,24 +18,12 @@
 #include "core/agreement.hpp"
 #include "core/skeleton_fused.hpp"
 #include "sim/faults.hpp"
-#include "support/cli.hpp"
 #include "support/contracts.hpp"
+#include "support/spec.hpp"
 
 namespace adba::sim {
 
 namespace {
-
-std::string lower(std::string s) {
-    std::transform(s.begin(), s.end(), s.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    return s;
-}
-
-std::string fmt_double(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);  // exact round trip via parse
-    return buf;
-}
 
 bool third_resilient(NodeId n, Count t) { return 3 * static_cast<std::uint64_t>(t) < n; }
 
@@ -55,7 +38,7 @@ const Entry& RegistryBase<Entry, Kind>::add(Entry entry) {
     // Validate every key BEFORE mutating, so a rejected plug-in leaves the
     // registry exactly as it was.
     auto check = [&](const std::string& key) {
-        const auto it = by_name_.find(lower(key));
+        const auto it = by_name_.find(spec::lower(key));
         if (it != by_name_.end())
             throw ContractViolation("duplicate " + what_ + " name '" + key +
                                     "' (already registered as '" + it->second->name +
@@ -66,8 +49,8 @@ const Entry& RegistryBase<Entry, Kind>::add(Entry entry) {
 
     entries_.push_back(std::move(entry));
     const Entry& stored = entries_.back();
-    by_name_[lower(stored.name)] = &stored;
-    for (const auto& alias : stored.aliases) by_name_[lower(alias)] = &stored;
+    by_name_[spec::lower(stored.name)] = &stored;
+    for (const auto& alias : stored.aliases) by_name_[spec::lower(alias)] = &stored;
     return stored;
 }
 
@@ -82,7 +65,7 @@ const Entry& RegistryBase<Entry, Kind>::at(Kind kind) const {
 
 template <typename Entry, typename Kind>
 const Entry* RegistryBase<Entry, Kind>::find(const std::string& name_or_alias) const {
-    const auto it = by_name_.find(lower(name_or_alias));
+    const auto it = by_name_.find(spec::lower(name_or_alias));
     return it == by_name_.end() ? nullptr : it->second;
 }
 
@@ -917,10 +900,6 @@ std::optional<std::string> why_incompatible(const MvScenario& s) {
     if (q > s.t)
         return "actual corruptions q must not exceed the budget t (q=" +
                std::to_string(q) + ", t=" + std::to_string(s.t) + ")";
-    if (s.sparse_plane)
-        return "the multi-valued stack has no sparse delivery plane yet (the "
-               "Turpin-Coan word histograms do not fit the bit-plane sampling); "
-               "use plane=flat";
     return std::nullopt;
 }
 
@@ -939,282 +918,119 @@ MvScenarioPlan validate(const MvScenario& s) {
     return plan;
 }
 
-// -------------------------------------------------------- input-name tables
-
-InputPattern parse_input_pattern(const std::string& name) {
-    const std::string k = lower(name);
-    if (k == "all-zero" || k == "zeros") return InputPattern::AllZero;
-    if (k == "all-one" || k == "ones") return InputPattern::AllOne;
-    if (k == "split") return InputPattern::Split;
-    if (k == "random") return InputPattern::Random;
-    throw ContractViolation("unknown input pattern '" + name +
-                            "'; known: all-zero, all-one, split, random");
-}
-
-MvInputPattern parse_mv_input_pattern(const std::string& name) {
-    const std::string k = lower(name);
-    if (k == "all-same") return MvInputPattern::AllSame;
-    if (k == "two-blocks") return MvInputPattern::TwoBlocks;
-    if (k == "all-distinct" || k == "distinct") return MvInputPattern::Distinct;
-    if (k == "random" || k == "random(4)" || k == "random-tiny")
-        return MvInputPattern::RandomTiny;
-    if (k == "near-quorum" || k == "near-quorum(60%)") return MvInputPattern::NearQuorum;
-    throw ContractViolation(
-        "unknown multi-valued input pattern '" + name +
-        "'; known: all-same, two-blocks, all-distinct, random, near-quorum");
-}
-
-bool parse_plane_name(const std::string& name) {
-    const std::string k = lower(name);
-    if (k == "flat") return false;
-    if (k == "sparse") return true;
-    std::string msg = "unknown delivery plane '" + name + "'; known: flat, sparse";
-    const std::string suggestion = closest_match(k, {"flat", "sparse"});
-    if (!suggestion.empty()) msg += " (did you mean '" + suggestion + "'?)";
-    throw ContractViolation(msg);
-}
-
-net::SparseStream parse_sparse_stream_name(const std::string& name) {
-    const std::string k = lower(name);
-    if (k == "chain") return net::SparseStream::Chain;
-    if (k == "counter") return net::SparseStream::Counter;
-    std::string msg =
-        "unknown sparse sample stream '" + name + "'; known: chain, counter";
-    const std::string suggestion = closest_match(k, {"chain", "counter"});
-    if (!suggestion.empty()) msg += " (did you mean '" + suggestion + "'?)";
-    throw ContractViolation(msg);
-}
-
-// ------------------------------------------------- Scenario parse / describe
-
-std::string Scenario::describe() const {
-    static const Scenario defaults;
-    std::string out = "protocol=" + ProtocolRegistry::instance().at(protocol).name +
-                      " adversary=" + AdversaryRegistry::instance().at(adversary).name +
-                      " inputs=" + to_string(inputs) + " n=" + std::to_string(n) +
-                      " t=" + std::to_string(t);
-    if (q) out += " q=" + std::to_string(*q);
-    if (tuning.alpha != defaults.tuning.alpha)
-        out += " alpha=" + fmt_double(tuning.alpha);
-    if (tuning.gamma != defaults.tuning.gamma)
-        out += " gamma=" + fmt_double(tuning.gamma);
-    if (tuning.beta != defaults.tuning.beta) out += " beta=" + fmt_double(tuning.beta);
-    if (local_coin_phases != defaults.local_coin_phases)
-        out += " phases=" + std::to_string(local_coin_phases);
-    if (sampling_kappa != defaults.sampling_kappa)
-        out += " kappa=" + fmt_double(sampling_kappa);
-    if (max_rounds_override != defaults.max_rounds_override)
-        out += " max_rounds=" + std::to_string(max_rounds_override);
-    if (record_transcript) out += " transcript=true";
-    if (reference_delivery) out += " reference=true";
-    if (!use_batch) out += " batch=false";
-    if (!use_shard) out += " shard=false";
-    if (!use_simd) out += " simd=false";
-    if (intra_threads != defaults.intra_threads)
-        out += " intra_threads=" + std::to_string(intra_threads);
-    if (sparse_plane) out += " plane=sparse";
-    if (sample_degree != defaults.sample_degree)
-        out += " sample_degree=" + std::to_string(sample_degree);
-    if (sparse_seed != defaults.sparse_seed)
-        out += " sparse_seed=" + std::to_string(sparse_seed);
-    if (sparse_stream != defaults.sparse_stream)
-        out += std::string(" sparse_stream=") +
-               (sparse_stream == net::SparseStream::Chain ? "chain" : "counter");
-    if (use_fused) out += " fused=true";
-    if (watchdog_ms != defaults.watchdog_ms)
-        out += " watchdog_ms=" + std::to_string(watchdog_ms);
-    return out;
-}
+// ------------------------------------------------------ scenario key tables
 
 namespace {
 
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-    try {
-        std::size_t pos = 0;
-        const unsigned long long v = std::stoull(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument(value);
-        return v;
-    } catch (const ContractViolation&) {
-        throw;
-    } catch (...) {
-        throw ContractViolation("scenario key '" + key +
-                                "' expects a non-negative integer, got '" + value + "'");
+using spec::Print;
+
+/// A registry's names as a codec: any alias in, the canonical name out.
+template <typename Registry>
+struct RegistryName {
+    const Registry& registry = Registry::instance();
+    auto parse(const std::string&, const std::string& text) const {
+        return registry.at(text).kind;
     }
+    template <typename Kind>
+    std::string print(Kind kind) const { return registry.at(kind).name; }
+};
+
+/// `head`, then the size, budget and tuning rows both scenario types share,
+/// then `tail`.
+template <typename S>
+std::vector<spec::Key<S>> around_budget_keys(std::vector<spec::Key<S>> head,
+                                             std::vector<spec::Key<S>> tail) {
+    head.insert(
+        head.end(),
+        {spec::key<S>("n", "node count", &S::n, spec::Int<NodeId>{}, Print::Always),
+         spec::key<S>("t", "fault budget the protocol is built for", &S::t,
+                      spec::Int<Count>{}, Print::Always),
+         spec::key<S>("q", "corruptions the adversary may make (default: t)", &S::q,
+                      spec::Optional<spec::Int<Count>>{}),
+         spec::key<S>("alpha", "committee count multiplier (the paper's alpha)",
+                      [](auto& s) -> auto& { return s.tuning.alpha; }, spec::Real{}),
+         spec::key<S>("gamma", "w.h.p. phase floor multiplier",
+                      [](auto& s) -> auto& { return s.tuning.gamma; }, spec::Real{}),
+         spec::key<S>("beta", "Chor-Coan classic group size multiplier",
+                      [](auto& s) -> auto& { return s.tuning.beta; }, spec::Real{})});
+    head.insert(head.end(), tail.begin(), tail.end());
+    return head;
 }
 
-bool parse_onoff(const std::string& value) {
-    return value == "true" || value == "1" || value == "yes" || value == "on";
-}
-
-/// THE spec tokenizer: splits a `key=value ...` string (tolerating trailing
-/// ','/';' per token) and hands lowercased keys to `apply`. Shared by
-/// Scenario::parse and MvScenario::parse so separator/error semantics can
-/// never diverge between the stacks.
-template <typename Apply>
-void for_each_spec_token(const std::string& spec, const Apply& apply) {
-    std::istringstream in(spec);
-    std::string token;
-    while (in >> token) {
-        while (!token.empty() && (token.back() == ',' || token.back() == ';'))
-            token.pop_back();
-        if (token.empty()) continue;
-        const auto eq = token.find('=');
-        if (eq == std::string::npos)
-            throw ContractViolation("scenario token '" + token +
-                                    "' is not of the form key=value");
-        apply(lower(token.substr(0, eq)), token.substr(eq + 1));
-    }
-}
-
-double parse_f64(const std::string& key, const std::string& value) {
-    try {
-        std::size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument(value);
-        return v;
-    } catch (const ContractViolation&) {
-        throw;
-    } catch (...) {
-        throw ContractViolation("scenario key '" + key + "' expects a number, got '" +
-                                value + "'");
-    }
-}
+constexpr const char* kReferenceHelp = "per-sender reference delivery (the oracle path)";
+constexpr const char* kSimdHelp = "word-packed tally kernels (off: scalar oracle)";
+constexpr const char* kWatchdogHelp = "per-trial wall-clock watchdog, 0 = off";
 
 }  // namespace
 
-Scenario Scenario::parse(const std::string& spec) {
-    Scenario s;
-    for_each_spec_token(spec, [&s](const std::string& key, const std::string& value) {
-        if (key == "protocol") {
-            s.protocol = ProtocolRegistry::instance().at(value).kind;
-        } else if (key == "adversary") {
-            s.adversary = AdversaryRegistry::instance().at(value).kind;
-        } else if (key == "inputs") {
-            s.inputs = parse_input_pattern(value);
-        } else if (key == "n") {
-            s.n = static_cast<NodeId>(parse_u64(key, value));
-        } else if (key == "t") {
-            s.t = static_cast<Count>(parse_u64(key, value));
-        } else if (key == "q") {
-            s.q = static_cast<Count>(parse_u64(key, value));
-        } else if (key == "alpha") {
-            s.tuning.alpha = parse_f64(key, value);
-        } else if (key == "gamma") {
-            s.tuning.gamma = parse_f64(key, value);
-        } else if (key == "beta") {
-            s.tuning.beta = parse_f64(key, value);
-        } else if (key == "phases") {
-            s.local_coin_phases = static_cast<Count>(parse_u64(key, value));
-        } else if (key == "kappa") {
-            s.sampling_kappa = parse_f64(key, value);
-        } else if (key == "max_rounds") {
-            s.max_rounds_override = static_cast<Round>(parse_u64(key, value));
-        } else if (key == "transcript") {
-            s.record_transcript = parse_onoff(value);
-        } else if (key == "reference") {
-            s.reference_delivery = parse_onoff(value);
-        } else if (key == "batch") {
-            s.use_batch = parse_onoff(value);
-        } else if (key == "shard") {
-            s.use_shard = parse_onoff(value);
-        } else if (key == "simd") {
-            s.use_simd = parse_onoff(value);
-        } else if (key == "intra_threads") {
-            s.intra_threads = static_cast<Count>(parse_u64(key, value));
-        } else if (key == "plane") {
-            s.sparse_plane = parse_plane_name(value);
-        } else if (key == "sample_degree") {
-            s.sample_degree = static_cast<Count>(parse_u64(key, value));
-        } else if (key == "sparse_seed") {
-            s.sparse_seed = parse_u64(key, value);
-        } else if (key == "sparse_stream") {
-            s.sparse_stream = parse_sparse_stream_name(value);
-        } else if (key == "fused") {
-            s.use_fused = parse_onoff(value);
-        } else if (key == "watchdog_ms") {
-            s.watchdog_ms = static_cast<std::uint32_t>(parse_u64(key, value));
-        } else {
-            throw ContractViolation(
-                "unknown scenario key '" + key +
-                "'; valid keys: protocol, adversary, inputs, n, t, q, alpha, gamma, "
-                "beta, phases, kappa, max_rounds, transcript, reference, batch, "
-                "shard, simd, intra_threads, plane, sample_degree, sparse_seed, "
-                "sparse_stream, fused, watchdog_ms");
-        }
-    });
-    return s;
+const spec::Table<Scenario>& Scenario::keys() {
+    using S = Scenario;
+    using spec::key;
+    static const spec::Table<S> table(
+        "scenario",
+        around_budget_keys<S>(
+            {key<S>("protocol", "agreement protocol (see --list)", &S::protocol,
+                    RegistryName<ProtocolRegistry>{}, Print::Always),
+             key<S>("adversary", "adversary strategy (see --list)", &S::adversary,
+                    RegistryName<AdversaryRegistry>{}, Print::Always),
+             key<S>("inputs", "input pattern: all-zero, all-one, split or random",
+                    &S::inputs, input_pattern_names(), Print::Always)},
+            {key<S>("phases", "phase budget for local-coin and ben-or",
+                    &S::local_coin_phases, spec::Int<Count>{}),
+             key<S>("kappa", "sampling-majority round budget knob", &S::sampling_kappa,
+                    spec::Real{}),
+             key<S>("max_rounds", "round cap, 0 = protocol default",
+                    &S::max_rounds_override, spec::Int<Round>{}),
+             key<S>("transcript", "record a per-round transcript", &S::record_transcript,
+                    spec::Bool{}),
+             key<S>("reference", kReferenceHelp, &S::reference_delivery, spec::Bool{}),
+             key<S>("batch", "native SoA batch (off: per-node adapter)", &S::use_batch,
+                    spec::Bool{}),
+             key<S>("shard", "allow intra-trial sharding of engine beats", &S::use_shard,
+                    spec::Bool{}),
+             key<S>("simd", kSimdHelp, &S::use_simd, spec::Bool{}),
+             key<S>("intra_threads", "intra-trial shards, 0 = process default",
+                    &S::intra_threads, spec::Int<Count>{}),
+             key<S>("plane", "delivery plane: flat or sparse", &S::sparse_plane,
+                    spec::Choice<bool>{{{"flat", false}, {"sparse", true}}}),
+             key<S>("sample_degree",
+                    "sampled senders per receiver under plane=sparse, 0 = default",
+                    &S::sample_degree, spec::Int<Count>{}),
+             key<S>("sparse_seed", "sparse topology stream index", &S::sparse_seed,
+                    spec::Int<std::uint64_t>{}),
+             key<S>("sparse_stream", "sparse sample derivation: chain or counter",
+                    &S::sparse_stream,
+                    spec::Choice<net::SparseStream>{
+                        {{"chain", net::SparseStream::Chain},
+                         {"counter", net::SparseStream::Counter}}}),
+             key<S>("fused", "64 trials per machine word (fused plane)", &S::use_fused,
+                    spec::Bool{}),
+             key<S>("watchdog_ms", kWatchdogHelp, &S::watchdog_ms,
+                    spec::Int<std::uint32_t>{})}));
+    return table;
 }
 
-// --------------------------------------------- MvScenario parse / describe
-
-std::string MvScenario::describe() const {
-    static const MvScenario defaults;
-    std::string out = "adversary=" + MvAdversaryRegistry::instance().at(adversary).name +
-                      " inputs=" + to_string(inputs) + " n=" + std::to_string(n) +
-                      " t=" + std::to_string(t);
-    if (q) out += " q=" + std::to_string(*q);
-    if (tuning.alpha != defaults.tuning.alpha)
-        out += " alpha=" + fmt_double(tuning.alpha);
-    if (tuning.gamma != defaults.tuning.gamma)
-        out += " gamma=" + fmt_double(tuning.gamma);
-    if (tuning.beta != defaults.tuning.beta) out += " beta=" + fmt_double(tuning.beta);
-    if (fallback != defaults.fallback) out += " fallback=" + std::to_string(fallback);
-    if (las_vegas) out += " las_vegas=true";
-    if (reference_delivery) out += " reference=true";
-    if (!use_batch) out += " batch=false";
-    if (!use_simd) out += " simd=false";
-    if (sparse_plane) out += " plane=sparse";
-    if (sample_degree != defaults.sample_degree)
-        out += " sample_degree=" + std::to_string(sample_degree);
-    if (watchdog_ms != defaults.watchdog_ms)
-        out += " watchdog_ms=" + std::to_string(watchdog_ms);
-    return out;
-}
-
-MvScenario MvScenario::parse(const std::string& spec) {
-    MvScenario s;
-    for_each_spec_token(spec, [&s](const std::string& key, const std::string& value) {
-        if (key == "adversary") {
-            s.adversary = MvAdversaryRegistry::instance().at(value).kind;
-        } else if (key == "inputs") {
-            s.inputs = parse_mv_input_pattern(value);
-        } else if (key == "n") {
-            s.n = static_cast<NodeId>(parse_u64(key, value));
-        } else if (key == "t") {
-            s.t = static_cast<Count>(parse_u64(key, value));
-        } else if (key == "q") {
-            s.q = static_cast<Count>(parse_u64(key, value));
-        } else if (key == "alpha") {
-            s.tuning.alpha = parse_f64(key, value);
-        } else if (key == "gamma") {
-            s.tuning.gamma = parse_f64(key, value);
-        } else if (key == "beta") {
-            s.tuning.beta = parse_f64(key, value);
-        } else if (key == "fallback") {
-            s.fallback = static_cast<net::Word>(parse_u64(key, value));
-        } else if (key == "las_vegas") {
-            s.las_vegas = parse_onoff(value);
-        } else if (key == "reference") {
-            s.reference_delivery = parse_onoff(value);
-        } else if (key == "batch") {
-            s.use_batch = parse_onoff(value);
-        } else if (key == "simd") {
-            s.use_simd = parse_onoff(value);
-        } else if (key == "plane") {
-            s.sparse_plane = parse_plane_name(value);
-        } else if (key == "sample_degree") {
-            s.sample_degree = static_cast<Count>(parse_u64(key, value));
-        } else if (key == "watchdog_ms") {
-            s.watchdog_ms = static_cast<std::uint32_t>(parse_u64(key, value));
-        } else {
-            throw ContractViolation(
-                "unknown multi-valued scenario key '" + key +
-                "'; valid keys: adversary, inputs, n, t, q, alpha, gamma, beta, "
-                "fallback, las_vegas, reference, batch, simd, plane, sample_degree, "
-                "watchdog_ms");
-        }
-    });
-    return s;
+const spec::Table<MvScenario>& MvScenario::keys() {
+    using S = MvScenario;
+    using spec::key;
+    static const spec::Table<S> table(
+        "multi-valued scenario",
+        around_budget_keys<S>(
+            {key<S>("adversary", "multi-valued adversary (see --list)", &S::adversary,
+                    RegistryName<MvAdversaryRegistry>{}, Print::Always),
+             key<S>("inputs",
+                    "input pattern: all-same, two-blocks, all-distinct, random or "
+                    "near-quorum",
+                    &S::inputs, mv_input_pattern_names(), Print::Always)},
+            {key<S>("fallback", "word output when the binary protocol decides 0",
+                    &S::fallback, spec::Int<net::Word>{}),
+             key<S>("las_vegas", "inner protocol in Las Vegas mode", &S::las_vegas,
+                    spec::Bool{}),
+             key<S>("reference", kReferenceHelp, &S::reference_delivery, spec::Bool{}),
+             key<S>("simd", kSimdHelp, &S::use_simd, spec::Bool{}),
+             key<S>("watchdog_ms", kWatchdogHelp, &S::watchdog_ms,
+                    spec::Int<std::uint32_t>{})}));
+    return table;
 }
 
 // ----------------------------------------------------------- memory budget

@@ -262,20 +262,6 @@ ScenarioPlan validate(const Scenario& s);
 /// parameters and round cap into the plan.
 MvScenarioPlan validate(const MvScenario& s);
 
-/// Name <-> enum helpers for the remaining scenario axes (throw with the
-/// accepted-name list on unknown input).
-InputPattern parse_input_pattern(const std::string& name);
-MvInputPattern parse_mv_input_pattern(const std::string& name);
-
-/// Delivery-plane key: "flat" -> false, "sparse" -> true; anything else
-/// throws with the accepted values and a did-you-mean suggestion.
-bool parse_plane_name(const std::string& name);
-
-/// Sparse sample-stream key: "chain" (the frozen v1 derivation) or
-/// "counter" (the batched v2 default); anything else throws with the
-/// accepted values and a did-you-mean suggestion.
-net::SparseStream parse_sparse_stream_name(const std::string& name);
-
 /// Graceful degradation on resource limits (sim/faults.hpp owns the budget
 /// value): estimates the scenario's per-trial arena footprint against the
 /// process-wide memory budget. Within budget (or budget off): no change,

@@ -14,6 +14,7 @@
 #include "sim/executor.hpp"
 #include "sim/inputs.hpp"
 #include "sim/workload.hpp"
+#include "support/spec.hpp"
 #include "support/stats.hpp"
 #include "support/types.hpp"
 
@@ -43,6 +44,8 @@ enum class AdversaryKind : std::uint8_t {
     Balancer,           ///< drift-cancelling attack (sampling-majority, E11)
 };
 
+/// One binary-stack scenario. Its spec keys, and which field each sets, are
+/// the rows of keys().
 struct Scenario {
     NodeId n = 0;
     Count t = 0;            ///< protocol fault tolerance / engine budget
@@ -61,50 +64,46 @@ struct Scenario {
     /// exists for oracle comparisons and debugging.
     bool reference_delivery = false;
     /// Step the protocol through its native SoA batch plane when the
-    /// registry entry provides one (scenario key `batch`, CLI `--batch`).
-    /// `batch=false` forces the per-node adapter — the reference protocol
-    /// stepping the native batches are pinned against. Orthogonal to
-    /// `reference`, which selects the delivery probing path.
+    /// registry entry provides one. `batch=false` forces the per-node
+    /// adapter — the reference protocol stepping the native batches are
+    /// pinned against. Orthogonal to `reference`, which selects the
+    /// delivery probing path.
     bool use_batch = true;
-    /// Allow intra-trial sharding of the engine beats (scenario key `shard`,
-    /// CLI `--shard`). Effective only for native batches (they are the
-    /// shardable ones) and when the policy resolves to >1 shard; `shard=off`
-    /// pins the serial whole-population beats — the stepping oracle for the
-    /// sharded path.
+    /// Allow intra-trial sharding of the engine beats. Effective only for
+    /// native batches (they are the shardable ones) and when the policy
+    /// resolves to >1 shard; `shard=off` pins the serial whole-population
+    /// beats — the stepping oracle for the sharded path.
     bool use_shard = true;
-    /// Build round tallies with the word-packed popcount kernels (scenario
-    /// key `simd`, CLI `--simd`); `simd=off` keeps the scalar byte-plane
-    /// build — the tally oracle the packed kernels are pinned against.
+    /// Build round tallies with the word-packed popcount kernels; `simd=off`
+    /// keeps the scalar byte-plane build — the tally oracle the packed
+    /// kernels are pinned against.
     bool use_simd = true;
-    /// Intra-trial logical shard count (scenario key `intra_threads`).
-    /// 0 = policy default: the process-wide `--intra_threads` /
+    /// Intra-trial logical shard count. 0 = policy default: the process-wide `--intra_threads` /
     /// ADBA_INTRA_THREADS setting, else the auto heuristic
     /// (plan_intra_shards). Any value yields bit-identical results; only
     /// wall-clock changes.
     Count intra_threads = 0;
     /// Answer receive beats from the sampled sparse delivery plane
-    /// (net/sparse_plane.hpp; scenario key `plane=flat|sparse`, CLI
-    /// `--plane`). Requires a sparse-capable native batch, `batch=on`,
+    /// (net/sparse_plane.hpp; `plane=sparse`). Requires a sparse-capable native batch, `batch=on`,
     /// `simd=on`, and `reference=off` — why_incompatible states the rule.
     /// With `sample_degree >= n` the sparse plane is bit-identical to flat
     /// (the dense oracle mode the equivalence tests pin).
     bool sparse_plane = false;
-    /// Per-receiver sampled senders per broadcast under `plane=sparse`
-    /// (scenario key `sample_degree`). 0 = the plane's built-in default
-    /// (net::kDefaultSampleDegree); ignored under `plane=flat`.
+    /// Per-receiver sampled senders per broadcast under `plane=sparse`.
+    /// 0 = the plane's built-in default (net::kDefaultSampleDegree);
+    /// ignored under `plane=flat`.
     Count sample_degree = 0;
-    /// Topology-stream selector under `plane=sparse` (scenario key
-    /// `sparse_seed`, CLI `--sparse_seed`): the SeedTree child index of the
-    /// SparseTopology stream, so a recorded sparse experiment can vary its
+    /// Topology-stream selector under `plane=sparse`: the SeedTree child
+    /// index of the SparseTopology stream, so a recorded sparse experiment can vary its
     /// sampled topology independently of every other randomness source.
     /// 0 (the default) reproduces the pre-key stream exactly.
     std::uint64_t sparse_seed = 0;
-    /// Frozen sample-derivation version under `plane=sparse` (scenario key
-    /// `sparse_stream=chain|counter`; net/sparse_kernels.hpp). Counter is
-    /// the batched default; chain replays PR-7-era recorded experiments.
+    /// Frozen sample-derivation version under `plane=sparse`
+    /// (net/sparse_kernels.hpp). Counter is the batched default; chain
+    /// replays PR-7-era recorded experiments.
     net::SparseStream sparse_stream = net::SparseStream::Counter;
     /// Co-execute 64 trials per machine word through the fused trial plane
-    /// (net/fused_plane.hpp; scenario key `fused`, CLI `--fused`). Requires
+    /// (net/fused_plane.hpp). Requires
     /// a fused-capable protocol and adversary (registry capability flags),
     /// `batch=on`, `plane=flat`, `reference=off`, no transcript, and
     /// `watchdog_ms=0` — why_incompatible states each rule. Aggregates are
@@ -112,8 +111,7 @@ struct Scenario {
     /// split into whole 64-lane blocks plus a scalar remainder, so
     /// checkpoint/resume identity is preserved.
     bool use_fused = false;
-    /// Per-trial wall-clock watchdog in milliseconds (scenario key
-    /// `watchdog_ms`, CLI `--watchdog_ms`); 0 = off. Guards the Las Vegas
+    /// Per-trial wall-clock watchdog in milliseconds; 0 = off. Guards the Las Vegas
     /// variants' unbounded round tail: a trial past the deadline stops with
     /// TrialOutcome::WatchdogTimeout instead of spinning toward the
     /// registry's generous round cap. Wall-clock dependent by design, so
@@ -121,17 +119,19 @@ struct Scenario {
     /// experiments.
     std::uint32_t watchdog_ms = 0;
 
-    /// Builds a scenario from a `key=value ...` spec string, resolving
-    /// protocol/adversary/input names through the registries (registry.hpp).
-    /// Keys: protocol, adversary, inputs, n, t, q, alpha, gamma, beta,
-    /// phases, kappa, max_rounds, transcript, reference, batch, shard,
-    /// simd, intra_threads, plane, sample_degree, sparse_seed,
-    /// sparse_stream, fused, watchdog_ms. Unknown keys or names throw
-    /// ContractViolation with the accepted alternatives.
-    static Scenario parse(const std::string& spec);
+    /// The spec keys, one row each (defined in registry.cpp; `adba_sim
+    /// --help` prints them): parse, describe and adba_sim's flags derive
+    /// from it.
+    static const spec::Table<Scenario>& keys();
+
+    /// Builds a scenario from a `key=value ...` spec string (keys()),
+    /// resolving protocol/adversary/input names through the registries.
+    /// Unknown keys or names throw ContractViolation with the accepted
+    /// alternatives.
+    static Scenario parse(const std::string& spec) { return keys().parse(spec); }
 
     /// Canonical spec string; `Scenario::parse(s.describe()) == s`.
-    std::string describe() const;
+    std::string describe() const { return keys().describe(*this); }
 
     friend bool operator==(const Scenario&, const Scenario&) = default;
 };

@@ -1,22 +1,10 @@
 #include "sim/workload.hpp"
 
-#include <algorithm>
-#include <cctype>
-
 #include "support/cli.hpp"
 #include "support/contracts.hpp"
+#include "support/spec.hpp"
 
 namespace adba::sim {
-
-namespace {
-
-std::string lower(std::string s) {
-    std::transform(s.begin(), s.end(), s.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    return s;
-}
-
-}  // namespace
 
 const std::vector<WorkloadInfo>& workloads() {
     static const std::vector<WorkloadInfo> table = {
@@ -45,11 +33,11 @@ const std::vector<WorkloadInfo>& workloads() {
 }
 
 const WorkloadInfo* find_workload(const std::string& name_or_alias) {
-    const std::string key = lower(name_or_alias);
+    const std::string key = spec::lower(name_or_alias);
     for (const WorkloadInfo& w : workloads()) {
         if (w.name == key) return &w;
         for (const auto& alias : w.aliases)
-            if (lower(alias) == key) return &w;
+            if (spec::lower(alias) == key) return &w;
     }
     return nullptr;
 }
@@ -64,7 +52,7 @@ const WorkloadInfo& workload_at(const std::string& name_or_alias) {
         candidates.insert(candidates.end(), w.aliases.begin(), w.aliases.end());
     }
     std::string msg = "unknown workload '" + name_or_alias + "'";
-    const std::string best = closest_match(lower(name_or_alias), candidates);
+    const std::string best = closest_match(spec::lower(name_or_alias), candidates);
     if (!best.empty()) msg += " (did you mean '" + best + "'?)";
     throw ContractViolation(msg + "; known workloads: " + known +
                             " (aliases accepted; see `adba_sim --list`)");

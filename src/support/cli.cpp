@@ -1,10 +1,9 @@
 #include "support/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <stdexcept>
 
 #include "support/contracts.hpp"
+#include "support/spec.hpp"
 
 namespace adba {
 
@@ -76,22 +75,21 @@ std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
     queried_.insert(key);
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
-    return std::stoll(it->second);
+    return spec::parse_int("--" + key, it->second);
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
     queried_.insert(key);
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
-    return std::stod(it->second);
+    return spec::parse_double("--" + key, it->second);
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {
     queried_.insert(key);
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
-    return it->second == "true" || it->second == "1" || it->second == "yes" ||
-           it->second == "on";
+    return spec::parse_bool("--" + key, it->second);
 }
 
 std::vector<std::int64_t> Cli::get_int_list(const std::string& key,
@@ -105,7 +103,7 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& key,
     while (pos < s.size()) {
         auto comma = s.find(',', pos);
         if (comma == std::string::npos) comma = s.size();
-        out.push_back(std::stoll(s.substr(pos, comma - pos)));
+        out.push_back(spec::parse_int("--" + key, s.substr(pos, comma - pos)));
         pos = comma + 1;
     }
     ADBA_ENSURES_MSG(!out.empty(), "empty list for --" + key);

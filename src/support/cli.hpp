@@ -33,10 +33,12 @@ public:
 
     bool has(const std::string& key) const;
     std::string get(const std::string& key, const std::string& fallback) const;
+    /// The typed getters parse strictly (support/spec.hpp: the whole value
+    /// must parse) and throw ContractViolation naming the flag otherwise.
     std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
     double get_double(const std::string& key, double fallback) const;
-    /// True for "true"/"1"/"yes"/"on" (so `--batch=on|off` style toggles
-    /// work); any other present value is false.
+    /// true/false, yes/no, on/off or 1/0, so `--batch=on|off` style toggles
+    /// work; a bare `--flag` reads true.
     bool get_bool(const std::string& key, bool fallback) const;
 
     /// Comma-separated integer list, e.g. `--t=4,8,16`.

@@ -534,6 +534,11 @@ TEST(DeliveryPlaneShared, SharedSlotIsCopiedBeforeAWrite) {
     const std::int64_t* just3 = tally.coin_delta_plane(MsgKind::Vote2, 0, true, 3, 4);
     EXPECT_EQ(just3[4], 1);
     EXPECT_EQ(just3[5], -1);
+    // No Byzantine coin reaches anyone: no plane is built (nullptr reads as
+    // zero deltas). Honest senders only, and a kind whose cells carry no
+    // coin sign.
+    EXPECT_EQ(tally.coin_delta_plane(MsgKind::Vote2, 0, true, 4, n), nullptr);
+    EXPECT_EQ(tally.coin_delta_plane(MsgKind::Vote1, 0, true, 0, n), nullptr);
 }
 
 /// What a PerPairControl saw: per-pair deliveries and per-node observation
@@ -1259,6 +1264,20 @@ bool any_byzantine_match(const net::RoundBuffer& buf, MsgKind kind, Phase phase,
     return false;
 }
 
+/// True when some Byzantine sender in [first, last) delivers a coin sign
+/// for the query: the brute-force form of coin_delta_plane's nullptr
+/// contract.
+bool any_byzantine_coin(const net::RoundBuffer& buf, MsgKind kind, Phase phase,
+                        NodeId first, NodeId last) {
+    for (std::size_t r = 0; r < buf.rows_in_use(); ++r) {
+        if (buf.row_sender(r) < first || buf.row_sender(r) >= last) continue;
+        for (NodeId v = 0; v < buf.n(); ++v)
+            if (const Message* m = buf.row_delivery(r, v))
+                if (m->kind == kind && m->phase == phase && m->coin != 0) return true;
+    }
+    return false;
+}
+
 /// Pins every packed query of `words` (built over `buf`) to `ref` (built
 /// over the same deliveries by the pack pass). `queries` adds (kind,
 /// phase) signatures beyond the buckets'; `brute` also checks the delta
@@ -1320,6 +1339,9 @@ void expect_tallies_eq(const net::RoundTally& words, const net::RoundTally& ref,
         const std::int64_t* ca = words.coin_delta_plane(kind, phase, true, first, last);
         const std::int64_t* cb = ref.coin_delta_plane(kind, phase, true, first, last);
         ASSERT_EQ(ca == nullptr, cb == nullptr);
+        if (brute) {
+            EXPECT_EQ(ca != nullptr, any_byzantine_coin(buf, kind, phase, first, last));
+        }
         if (ca != nullptr) {
             EXPECT_TRUE(std::equal(ca, ca + n, cb));
         }

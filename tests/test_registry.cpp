@@ -3,11 +3,15 @@
 // or incompatible selections fail with actionable messages.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 
+#include "sim/faults.hpp"
 #include "sim/registry.hpp"
 #include "sim/sweep.hpp"
 #include "support/contracts.hpp"
+#include "support/spec.hpp"
 
 namespace adba::sim {
 namespace {
@@ -183,23 +187,154 @@ TEST(ScenarioSpec, ParseDescribeRoundTripsEveryCompatiblePair) {
     }
 }
 
-TEST(ScenarioSpec, ParseDescribeRoundTripsNonDefaultFields) {
-    Scenario s;
-    s.n = 96;
-    s.t = 21;
-    s.q = 7;
-    s.protocol = ProtocolKind::BenOr;
-    s.adversary = AdversaryKind::SplitVote;
-    s.inputs = InputPattern::Random;
-    s.tuning.alpha = 2.5;
-    s.tuning.gamma = 1.25;
-    s.tuning.beta = 0.5;
-    s.local_coin_phases = 17;
-    s.sampling_kappa = 3.75;
-    s.max_rounds_override = 99;
-    s.record_transcript = true;
-    const Scenario back = Scenario::parse(s.describe());
-    EXPECT_EQ(back, s) << s.describe();
+/// The table-driven round trip: sets each key of `table` to its entry in
+/// `values` (which must name every key with a non-default value), one key at
+/// a time and then all together, and checks `parse(describe(s)) == s`.
+template <typename T>
+void expect_every_key_round_trips(const spec::Table<T>& table,
+                                  const std::map<std::string, std::string>& values) {
+    EXPECT_EQ(values.size(), table.keys().size()) << "one test value per key";
+    T all{};
+    for (const spec::Key<T>& k : table.keys()) {
+        const auto it = values.find(k.name);
+        ASSERT_NE(it, values.end()) << "no test value for key " << k.name;
+        T one{};
+        k.read(one, k.name, it->second);
+        EXPECT_NE(table.describe(one), table.describe(T{}))
+            << k.name << "=" << it->second << " is the default";
+        EXPECT_EQ(table.parse(table.describe(one)), one) << table.describe(one);
+        k.read(all, k.name, it->second);
+    }
+    EXPECT_EQ(table.parse(table.describe(all)), all) << table.describe(all);
+}
+
+TEST(ScenarioSpec, EveryKeyRoundTripsThroughDescribe) {
+    expect_every_key_round_trips(
+        Scenario::keys(),
+        {{"protocol", "ben-or"},     {"adversary", "split-vote"},
+         {"inputs", "random"},       {"n", "96"},
+         {"t", "18"},                {"q", "7"},
+         {"alpha", "2.5"},           {"gamma", "1.25"},
+         {"beta", "0.1"},            {"phases", "17"},
+         {"kappa", "3.75"},          {"max_rounds", "99"},
+         {"transcript", "true"},     {"reference", "on"},
+         {"batch", "off"},           {"shard", "no"},
+         {"simd", "0"},              {"intra_threads", "3"},
+         {"plane", "sparse"},        {"sample_degree", "48"},
+         {"sparse_seed", "18446744073709551615"},
+         {"sparse_stream", "chain"}, {"fused", "yes"},
+         {"watchdog_ms", "250"}});
+    expect_every_key_round_trips(
+        MvScenario::keys(),
+        {{"adversary", "prelude+worst-case"}, {"inputs", "near-quorum"},
+         {"n", "96"},                         {"t", "31"},
+         {"q", "10"},                         {"alpha", "7.5"},
+         {"gamma", "2.25"},                   {"beta", "1.125"},
+         {"fallback", "4294967295"},          {"las_vegas", "true"},
+         {"reference", "true"},               {"simd", "false"},
+         {"watchdog_ms", "100"}});
+    expect_every_key_round_trips(
+        FaultConfig::keys(),
+        {{"seed", "42"},             {"shard_death", "0.25"},
+         {"shard_death_shard", "2"}, {"stall_rate", "0.125"},
+         {"stall_ms", "3"},          {"alloc_rate", "0.5"},
+         {"trial_rate", "0.0625"},   {"beat_delay_rate", "1"},
+         {"beat_delay_ms", "7"},     {"max_attempts", "5"}});
+}
+
+TEST(ScenarioSpec, DescribeMatchesPinnedCorpus) {
+    // describe() is the checkpoint scope and the CSV row label: these
+    // canonical strings are frozen (a change orphans every journal).
+    const std::pair<const char*, const char*> binary[] = {
+        {"n=64 t=21", "protocol=ours adversary=worst-case inputs=split n=64 t=21"},
+        {"protocol=ben-or adversary=split-vote inputs=random n=96 t=18 q=7 alpha=2.5 "
+         "gamma=1.25 beta=0.5 phases=17 kappa=3.75 max_rounds=99 transcript=true "
+         "reference=true batch=false shard=false simd=false intra_threads=3 "
+         "plane=sparse sample_degree=48 sparse_seed=123456789012 sparse_stream=chain "
+         "fused=true watchdog_ms=250",
+         "protocol=ben-or adversary=split-vote inputs=random n=96 t=18 q=7 alpha=2.5 "
+         "gamma=1.25 beta=0.5 phases=17 kappa=3.75 max_rounds=99 transcript=true "
+         "reference=true batch=false shard=false simd=false intra_threads=3 "
+         "plane=sparse sample_degree=48 sparse_seed=123456789012 sparse_stream=chain "
+         "fused=true watchdog_ms=250"},
+        {"protocol=phase-king adversary=king-killer inputs=all-one n=33 t=8 q=0 "
+         "alpha=0.1 gamma=1e-9 beta=3",
+         "protocol=phase-king adversary=king-killer inputs=all-one n=33 t=8 q=0 "
+         "alpha=0.10000000000000001 gamma=1.0000000000000001e-09 beta=3"},
+        {"protocol=sampling-majority adversary=balancer inputs=all-zero n=4294967295 "
+         "t=4294967295 kappa=0.3333333333333333 max_rounds=4294967295 "
+         "sparse_seed=18446744073709551615 sparse_stream=counter intra_threads=0",
+         "protocol=sampling-majority adversary=balancer inputs=all-zero n=4294967295 "
+         "t=4294967295 kappa=0.33333333333333331 max_rounds=4294967295 "
+         "sparse_seed=18446744073709551615"},
+        {"protocol=chor-coan-rushing adversary=crash-targeted-coin n=512 t=16 "
+         "sample_degree=7",
+         "protocol=chor-coan-rushing adversary=crash-targeted-coin inputs=split n=512 "
+         "t=16 sample_degree=7"},
+    };
+    for (const auto& [spec, want] : binary)
+        EXPECT_EQ(Scenario::parse(spec).describe(), want) << spec;
+
+    const std::pair<const char*, const char*> mv[] = {
+        {"n=32 t=9", "adversary=worst-case-inner inputs=two-blocks n=32 t=9"},
+        {"adversary=prelude+worst-case inputs=near-quorum n=96 t=31 q=10 alpha=7.5 "
+         "gamma=2.25 beta=1.125 fallback=48879 las_vegas=true reference=true "
+         "simd=false watchdog_ms=100",
+         "adversary=prelude+worst-case inputs=near-quorum(60%) n=96 t=31 q=10 "
+         "alpha=7.5 gamma=2.25 beta=1.125 fallback=48879 las_vegas=true "
+         "reference=true simd=false watchdog_ms=100"},
+        {"adversary=chaos inputs=random n=33 t=10 q=0 alpha=0.1 fallback=4294967295",
+         "adversary=chaos inputs=random(4) n=33 t=10 q=0 alpha=0.10000000000000001 "
+         "fallback=4294967295"},
+        {"adversary=none inputs=all-distinct n=7 t=2",
+         "adversary=none inputs=all-distinct n=7 t=2"},
+        {"inputs=all-same n=7 t=2 las_vegas=false",
+         "adversary=worst-case-inner inputs=all-same n=7 t=2"},
+    };
+    for (const auto& [spec, want] : mv)
+        EXPECT_EQ(MvScenario::parse(spec).describe(), want) << spec;
+
+    EXPECT_EQ(FaultConfig::parse("").describe(), "seed=1");
+    EXPECT_EQ(FaultConfig::parse("seed=5 shard_death=1 shard_death_shard=2 "
+                                 "stall_rate=0.5 stall_ms=3 alloc_rate=0.1 "
+                                 "trial_rate=0.3 beat_delay_rate=1 beat_delay_ms=1 "
+                                 "max_attempts=2")
+                  .describe(),
+              "seed=5 shard_death=1 shard_death_shard=2 stall_rate=0.5 stall_ms=3 "
+              "alloc_rate=0.10000000000000001 trial_rate=0.29999999999999999 "
+              "beat_delay_rate=1 beat_delay_ms=1 max_attempts=2");
+}
+
+TEST(ScenarioSpec, ValuesParseStrictly) {
+    const std::string ture =
+        thrown_message([] { Scenario::parse("protocol=ours n=32 t=9 fused=ture"); });
+    EXPECT_NE(ture.find("scenario key 'fused'"), std::string::npos) << ture;
+    EXPECT_NE(ture.find("did you mean 'true'"), std::string::npos) << ture;
+    // Wider than the uint32 field, negative, or not a whole number: rejected
+    // instead of wrapping or truncating.
+    const std::string wide = thrown_message([] { Scenario::parse("n=4294967360"); });
+    EXPECT_NE(wide.find("[0, 4294967295]"), std::string::npos) << wide;
+    EXPECT_THROW(Scenario::parse("t=-1"), ContractViolation);
+    EXPECT_THROW(Scenario::parse("n=3abc"), ContractViolation);
+    EXPECT_THROW(Scenario::parse("alpha=2x"), ContractViolation);
+    EXPECT_THROW(MvScenario::parse("fallback=4294967296"), ContractViolation);
+    EXPECT_EQ(Scenario::parse("n=4294967295").n, 4294967295u);
+    EXPECT_TRUE(Scenario::parse("fused=ON").use_fused);
+    // Per-key checks: rates lie in [0, 1], max_attempts >= 1.
+    EXPECT_THROW(FaultConfig::parse("stall_rate=-0.5"), ContractViolation);
+    EXPECT_THROW(FaultConfig::parse("max_attempts=0"), ContractViolation);
+}
+
+TEST(ScenarioSpec, OneTokenizerServesEverySpec) {
+    // Whitespace, ',' and ';' all separate tokens, in every spec type.
+    const Scenario s = Scenario::parse("protocol=ours,adversary=static,n=32,t=9");
+    EXPECT_EQ(s.adversary, AdversaryKind::Static);
+    EXPECT_EQ(s.n, 32u);
+    EXPECT_EQ(s.t, 9u);
+    EXPECT_EQ(MvScenario::parse("n=32;t=9").t, 9u);
+    const FaultConfig f = FaultConfig::parse("seed=1,stall_rate=0.125; stall_ms=2");
+    EXPECT_EQ(f.stall_rate, 0.125);
+    EXPECT_EQ(f.stall_ms, 2u);
 }
 
 TEST(ScenarioSpec, ParseResolvesAliasesAndSeparators) {
@@ -216,7 +351,13 @@ TEST(ScenarioSpec, UnknownKeysAndValuesThrowActionably) {
     const std::string msg =
         thrown_message([] { Scenario::parse("protcol=ours n=8"); });
     EXPECT_NE(msg.find("unknown scenario key 'protcol'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("protocol"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("did you mean 'protocol'"), std::string::npos) << msg;
+    const std::string mv = thrown_message([] { MvScenario::parse("las_vegs=true"); });
+    EXPECT_NE(mv.find("unknown multi-valued scenario key 'las_vegs'"), std::string::npos)
+        << mv;
+    EXPECT_NE(mv.find("did you mean 'las_vegas'"), std::string::npos) << mv;
+    const std::string fault = thrown_message([] { FaultConfig::parse("shard_deth=1"); });
+    EXPECT_NE(fault.find("did you mean 'shard_death'"), std::string::npos) << fault;
 
     EXPECT_THROW(Scenario::parse("protocol=raft n=8"), ContractViolation);
     EXPECT_THROW(Scenario::parse("n=eight"), ContractViolation);
@@ -233,11 +374,12 @@ TEST(ScenarioSpec, ParsedScenarioRunsByName) {
 }
 
 TEST(ScenarioSpec, MvInputPatternsParse) {
-    EXPECT_EQ(parse_mv_input_pattern("near-quorum"), MvInputPattern::NearQuorum);
-    EXPECT_EQ(parse_mv_input_pattern("all-same"), MvInputPattern::AllSame);
-    EXPECT_THROW(parse_mv_input_pattern("nope"), ContractViolation);
-    EXPECT_EQ(parse_input_pattern("split"), InputPattern::Split);
-    EXPECT_THROW(parse_input_pattern("nope"), ContractViolation);
+    EXPECT_EQ(MvScenario::parse("inputs=near-quorum").inputs, MvInputPattern::NearQuorum);
+    EXPECT_EQ(MvScenario::parse("inputs=all-same").inputs, MvInputPattern::AllSame);
+    EXPECT_THROW(MvScenario::parse("inputs=nope"), ContractViolation);
+    EXPECT_EQ(Scenario::parse("inputs=split").inputs, InputPattern::Split);
+    EXPECT_EQ(Scenario::parse("inputs=ZEROS").inputs, InputPattern::AllZero);
+    EXPECT_THROW(Scenario::parse("inputs=nope"), ContractViolation);
 }
 
 // ---------------------------------------------------------------- plug-ins

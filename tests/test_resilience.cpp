@@ -475,6 +475,23 @@ TEST(Checkpoint, EncodeDecodeRoundTripsEveryWorkloadAggregate) {
     expect_samples_identical(mback.corruptions, magg.corruptions);
 }
 
+TEST(Checkpoint, MacroScopeKeepsTuningDoublesExactly) {
+    // The scope is the journal's identity: a sweep whose tuning differs in
+    // the ninth decimal must not resume another's journal.
+    MacroScenario a;
+    a.n = 64;
+    a.t = 12;
+    a.q = 12;
+    MacroScenario b = a;
+    b.tuning.alpha += 1e-9;
+    const std::string path = temp_path("ck_macro_scope.bin");
+    std::filesystem::remove(path);
+    (void)run_macro_trials(a, 5, 6, ExecutorConfig{1, 3, path, false});
+    EXPECT_THROW((void)run_macro_trials(b, 5, 6, ExecutorConfig{1, 3, path, true}),
+                 ContractViolation);
+    (void)run_macro_trials(a, 5, 6, ExecutorConfig{1, 3, path, true});
+}
+
 TEST(Checkpoint, JournaledFaultyRunStillMatchesUnarmedResult) {
     // Transient faults + checkpointing together: the journal records the
     // RECOVERED partials, so even a resume of a faulty run reproduces the

@@ -201,14 +201,6 @@ TEST(SparsePlaneScenario, PlaneKeysRoundTrip) {
               net::SparseStream::Chain);
     EXPECT_EQ(sim::Scenario::parse("n=16 t=5 sparse_stream=counter").sparse_stream,
               net::SparseStream::Counter);
-
-    sim::MvScenario m;
-    m.n = 32;
-    m.t = 5;
-    m.sparse_plane = true;
-    m.sample_degree = 16;
-    EXPECT_EQ(sim::MvScenario::parse(m.describe()), m);
-    EXPECT_FALSE(sim::MvScenario::parse("n=32 t=5 plane=flat").sparse_plane);
 }
 
 TEST(SparsePlaneScenario, PlaneTypoGetsDidYouMean) {
@@ -217,14 +209,6 @@ TEST(SparsePlaneScenario, PlaneTypoGetsDidYouMean) {
         FAIL() << "typo'd plane value must throw";
     } catch (const ContractViolation& e) {
         EXPECT_NE(std::string(e.what()).find("did you mean 'sparse'"),
-                  std::string::npos)
-            << e.what();
-    }
-    try {
-        sim::MvScenario::parse("n=32 t=5 plane=flatt");
-        FAIL() << "typo'd plane value must throw";
-    } catch (const ContractViolation& e) {
-        EXPECT_NE(std::string(e.what()).find("did you mean 'flat'"),
                   std::string::npos)
             << e.what();
     }
@@ -271,14 +255,6 @@ TEST(SparsePlaneScenario, FeasibilityMessagesAreActionable) {
     why = sim::why_incompatible(unsupported);
     ASSERT_TRUE(why.has_value());
     EXPECT_NE(why->find("sparse-capable"), std::string::npos) << *why;
-
-    sim::MvScenario m;
-    m.n = 32;
-    m.t = 5;
-    m.sparse_plane = true;
-    why = sim::why_incompatible(m);
-    ASSERT_TRUE(why.has_value());
-    EXPECT_NE(why->find("plane=flat"), std::string::npos) << *why;
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "support/cli.hpp"
@@ -341,6 +342,35 @@ TEST(Cli, BenchmarkFlagsPassThrough) {
     EXPECT_EQ(cli.get_int("n", 0), 4);
     ASSERT_EQ(cli.passthrough().size(), 2u);
     EXPECT_EQ(cli.passthrough()[1], "--benchmark_filter=all");
+}
+
+TEST(Cli, TypedGettersParseStrictlyAndNameTheFlag) {
+    const char* argv[] = {"prog", "--simd=of", "--trials=3abc", "--seed=abc",
+                          "--alpha=1.5x", "--fused=ON", "--t=4,x"};
+    Cli cli(7, const_cast<char**>(argv));
+    const auto message = [](const std::function<void()>& read) {
+        try {
+            read();
+        } catch (const ContractViolation& e) {
+            return std::string(e.what());
+        }
+        return std::string("(no throw)");
+    };
+    const std::string simd = message([&] { cli.get_bool("simd", true); });
+    EXPECT_NE(simd.find("--simd"), std::string::npos) << simd;
+    EXPECT_NE(simd.find("did you mean 'off'"), std::string::npos) << simd;
+    const std::string trials = message([&] { cli.get_int("trials", 20); });
+    EXPECT_NE(trials.find("--trials"), std::string::npos) << trials;
+    EXPECT_NE(message([&] { cli.get_int("seed", 1); }).find("--seed"), std::string::npos);
+    EXPECT_NE(message([&] { cli.get_double("alpha", 1.0); }).find("--alpha"),
+              std::string::npos);
+    EXPECT_NE(message([&] { cli.get_int_list("t", {}); }).find("--t"), std::string::npos);
+    EXPECT_TRUE(cli.get_bool("fused", false));
+
+    const char* abc[] = {"prog", "--trials=abc"};
+    const Cli bare(2, const_cast<char**>(abc));
+    EXPECT_NE(message([&] { bare.get_int("trials", 20); }).find("--trials"),
+              std::string::npos);
 }
 
 TEST(Cli, CheckUnusedPassesWhenEveryFlagWasQueried) {

@@ -142,24 +142,6 @@ TEST(MvScenario, DescribeParseRoundTripsDefaults) {
     EXPECT_EQ(MvScenario::parse(s.describe()), s);
 }
 
-TEST(MvScenario, DescribeParseRoundTripsEveryField) {
-    MvScenario s;
-    s.n = 96;
-    s.t = 31;
-    s.q = 10;
-    s.inputs = MvInputPattern::NearQuorum;
-    s.adversary = MvAdversaryKind::PreludePlusWorstCase;
-    s.tuning.alpha = 7.5;
-    s.tuning.gamma = 2.25;
-    s.tuning.beta = 1.125;
-    s.fallback = 0xBEEF;
-    s.las_vegas = true;
-    s.reference_delivery = true;
-    s.use_batch = false;
-    const std::string spec = s.describe();
-    EXPECT_EQ(MvScenario::parse(spec), s) << spec;
-}
-
 TEST(MvScenario, RoundTripsForEveryInputAndAdversary) {
     for (const auto* e : MvAdversaryRegistry::instance().list()) {
         for (const MvInputPattern p :
@@ -180,6 +162,11 @@ TEST(MvScenario, ParseRejectsUnknownKeysAndNames) {
     EXPECT_THROW(MvScenario::parse("protocol=ours"), ContractViolation);
     EXPECT_THROW(MvScenario::parse("adversary=worst-case"), ContractViolation);
     EXPECT_THROW(MvScenario::parse("inputs=split"), ContractViolation);
+    // The multi-valued stack has no native batch and no sparse plane, so it
+    // has no keys for them.
+    EXPECT_THROW(MvScenario::parse("batch=false"), ContractViolation);
+    EXPECT_THROW(MvScenario::parse("plane=flat"), ContractViolation);
+    EXPECT_THROW(MvScenario::parse("sample_degree=16"), ContractViolation);
 }
 
 TEST(MvScenario, QAboveBudgetIsRejected) {

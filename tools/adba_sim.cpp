@@ -16,20 +16,17 @@
 //   adba_sim --workload=coin --n=256 --k=64 --f=4       # standalone common coin
 //   adba_sim --workload=macro --n=65536 --t=256         # asymptotic simulator
 //
-// Flags: --workload --protocol --adversary --inputs --n --t --q --trials
-//        --seed --threads --intra_threads --csv_dir --scenario --alpha
-//        --gamma --beta --phases --kappa --max_rounds --transcript
-//        --reference --batch=on|off --shard=on|off --simd=on|off
-//        --plane=flat|sparse --sample_degree --sparse_seed
-//        --sparse_stream=chain|counter --fused=on|off --las_vegas --fallback
-//        --k --f --attack --forced_bit --schedule --list
-//        --watchdog_ms --chunk --checkpoint --resume
-//        --faults="key=value ..." --mem_budget_mb --help
-// `--help` prints the flags the selected workload recognizes and exits 0.
+// Every scenario key (sim::Scenario::keys(), sim::MvScenario::keys()) is
+// also a `--key` flag that overrides the --scenario spec (except
+// --intra_threads, the process-wide shard default); `--help` (with an
+// optional --workload=) prints the flags the selected workload recognizes,
+// with each spec key's help line, and exits 0.
 // Unknown flags (and unknown workload/protocol/adversary names) fail loudly
 // with did-you-mean suggestions (Cli strict mode + registry lookups).
 #include <cstdio>
 #include <iostream>
+#include <map>
+#include <set>
 #include <string>
 
 #include "sim/faults.hpp"
@@ -39,11 +36,17 @@
 #include "sim/sweep.hpp"
 #include "support/cli.hpp"
 #include "support/contracts.hpp"
+#include "support/spec.hpp"
 #include "support/table.hpp"
 
 namespace {
 
 using namespace adba;
+
+// --intra_threads sets the process-wide shard default (init_intra_threads in
+// main), not the scenario key of the same name, which only a --scenario
+// spec sets.
+const std::set<std::string> kProcessWideKeys = {"intra_threads"};
 
 std::string join(const std::vector<std::string>& parts) {
     std::string out;
@@ -108,17 +111,36 @@ double pct(Count good, Count total) {
     return total == 0 ? 0.0 : 100.0 * static_cast<double>(good) / total;
 }
 
+/// Each spec key's help line, by flag (keys in `skip` are not flags of
+/// this driver).
+template <typename T>
+std::map<std::string, std::string> flag_help(const spec::Table<T>& table,
+                                             const std::set<std::string>& skip = {}) {
+    std::map<std::string, std::string> help;
+    for (const spec::Key<T>& k : table.keys())
+        if (!skip.count(k.name)) help[k.name] = k.help;
+    return help;
+}
+
 /// --help: called by each driver after its last flag read and before
 /// check_unused(), where the queried keys are exactly the flags that
 /// driver recognizes (flags it only reads to reject come after this call).
-/// Prints them and tells the caller to stop.
-bool help_requested(const Cli& cli, const char* workload) {
+/// Prints them one per line, with the spec key's help where there is one,
+/// and tells the caller to stop.
+bool help_requested(const Cli& cli, const char* workload,
+                    const std::map<std::string, std::string>& help = {}) {
     if (!cli.get_bool("help", false)) return false;
     std::printf("usage: adba_sim --workload=%s [--flag=value ...]\n"
-                "recognized flags:",
+                "recognized flags:\n",
                 workload);
-    for (const std::string& key : cli.queried()) std::printf(" --%s", key.c_str());
-    std::printf("\n(--list prints the registered workloads, protocols and "
+    for (const std::string& key : cli.queried()) {
+        const auto it = help.find(key);
+        if (it == help.end())
+            std::printf("  --%s\n", key.c_str());
+        else
+            std::printf("  --%-18s %s\n", key.c_str(), it->second.c_str());
+    }
+    std::printf("(--list prints the registered workloads, protocols and "
                 "adversaries)\n");
     return true;
 }
@@ -139,39 +161,18 @@ sim::ExecutorConfig exec_config(const Cli& cli) {
 }
 
 int run_multivalued(const Cli& cli) {
-    sim::MvScenario s;
-    if (cli.has("scenario")) s = sim::MvScenario::parse(cli.get("scenario", ""));
-    if (cli.has("n") || s.n == 0) s.n = static_cast<NodeId>(cli.get_int("n", 96));
-    if (cli.has("t"))
-        s.t = static_cast<Count>(cli.get_int("t", 0));
-    else if (!cli.has("scenario"))
-        s.t = (s.n - 1) / 3;
-    if (cli.has("q")) s.q = static_cast<Count>(cli.get_int("q", 0));
-    if (cli.has("inputs")) s.inputs = sim::parse_mv_input_pattern(cli.get("inputs", ""));
-    if (cli.has("adversary"))
-        s.adversary =
-            sim::MvAdversaryRegistry::instance().at(cli.get("adversary", "")).kind;
-    if (cli.has("alpha")) s.tuning.alpha = cli.get_double("alpha", s.tuning.alpha);
-    if (cli.has("gamma")) s.tuning.gamma = cli.get_double("gamma", s.tuning.gamma);
-    if (cli.has("beta")) s.tuning.beta = cli.get_double("beta", s.tuning.beta);
-    if (cli.has("las_vegas")) s.las_vegas = cli.get_bool("las_vegas", false);
-    if (cli.has("fallback"))
-        s.fallback = static_cast<net::Word>(cli.get_int("fallback", 0));
-    if (cli.has("reference")) s.reference_delivery = cli.get_bool("reference", false);
-    if (cli.has("batch")) s.use_batch = cli.get_bool("batch", true);
-    if (cli.has("simd")) s.use_simd = cli.get_bool("simd", true);
-    // Round-trips like the binary stack; validate() rejects plane=sparse
-    // with the why_incompatible message (no mv sparse batch yet).
-    if (cli.has("plane")) s.sparse_plane = sim::parse_plane_name(cli.get("plane", ""));
-    if (cli.has("sample_degree"))
-        s.sample_degree = static_cast<Count>(cli.get_int("sample_degree", 0));
-    if (cli.has("watchdog_ms"))
-        s.watchdog_ms = static_cast<std::uint32_t>(cli.get_int("watchdog_ms", 0));
+    const bool from_spec = cli.has("scenario");
+    sim::MvScenario s = sim::MvScenario::parse(cli.get("scenario", ""));
+    const std::set<std::string> flags = sim::MvScenario::keys().overlay(cli, s);
+    // Defaults outside the key table: n = 96 and the largest t < n/3 (a
+    // --scenario spec keeps its own t).
+    if (s.n == 0) s.n = 96;
+    if (!flags.count("t") && !from_spec) s.t = (s.n - 1) / 3;
     const auto trials = static_cast<Count>(cli.get_int("trials", 20));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");  // queried late by maybe_csv; recognize it now
-    if (help_requested(cli, "mv")) return 0;
+    if (help_requested(cli, "mv", flag_help(sim::MvScenario::keys()))) return 0;
     if (cli.has("fused"))
         throw ContractViolation(
             "--fused co-executes 64 binary trials per machine word; the "
@@ -299,69 +300,28 @@ int run_macro(const Cli& cli) {
 }
 
 int run_binary(const Cli& cli) {
-    const auto& protocols = sim::ProtocolRegistry::instance();
-
-    sim::Scenario s;
-    if (cli.has("scenario")) s = sim::Scenario::parse(cli.get("scenario", ""));
-    if (cli.has("protocol")) s.protocol = protocols.at(cli.get("protocol", "")).kind;
-    const sim::ProtocolEntry& proto = protocols.at(s.protocol);
-    if (cli.has("adversary"))
-        s.adversary = sim::AdversaryRegistry::instance().at(cli.get("adversary", "")).kind;
-    else if (!cli.has("scenario"))
-        s.adversary = proto.strongest;  // per-protocol default pairing
-    if (cli.has("inputs")) s.inputs = sim::parse_input_pattern(cli.get("inputs", ""));
-    if (cli.has("n") || s.n == 0) s.n = static_cast<NodeId>(cli.get_int("n", 64));
-    if (cli.has("t")) {
-        s.t = static_cast<Count>(cli.get_int("t", 0));
-    } else if (!cli.has("scenario")) {
-        // Largest budget the protocol's resilience predicate admits at n.
+    const bool from_spec = cli.has("scenario");
+    sim::Scenario s = sim::Scenario::parse(cli.get("scenario", ""));
+    const std::set<std::string> flags =
+        sim::Scenario::keys().overlay(cli, s, kProcessWideKeys);
+    // Defaults outside the key table: n = 64, the protocol's strongest
+    // adversary and the largest t its resilience predicate admits (a
+    // --scenario spec keeps its own adversary and t).
+    const sim::ProtocolEntry& proto = sim::ProtocolRegistry::instance().at(s.protocol);
+    if (!flags.count("adversary") && !from_spec) s.adversary = proto.strongest;
+    if (s.n == 0) s.n = 64;
+    if (!flags.count("t") && !from_spec) {
         s.t = (s.n - 1) / 3;
         while (s.t > 0 && !proto.supports(s.n, s.t)) --s.t;
     }
-    if (cli.has("q")) s.q = static_cast<Count>(cli.get_int("q", 0));
-    if (cli.has("alpha")) s.tuning.alpha = cli.get_double("alpha", s.tuning.alpha);
-    if (cli.has("gamma")) s.tuning.gamma = cli.get_double("gamma", s.tuning.gamma);
-    if (cli.has("beta")) s.tuning.beta = cli.get_double("beta", s.tuning.beta);
-    if (cli.has("phases"))
-        s.local_coin_phases = static_cast<Count>(cli.get_int("phases", 64));
-    if (cli.has("kappa")) s.sampling_kappa = cli.get_double("kappa", s.sampling_kappa);
-    if (cli.has("max_rounds"))
-        s.max_rounds_override = static_cast<Round>(cli.get_int("max_rounds", 0));
-    if (cli.has("transcript"))
-        s.record_transcript = cli.get_bool("transcript", false);
-    if (cli.has("reference")) s.reference_delivery = cli.get_bool("reference", false);
-    // --batch=on|off: native SoA batch stepping vs the per-node reference
-    // path (mirrors the scenario key `batch`). --shard / --simd are the
-    // same shape for the intra-trial shard and packed-tally toggles;
-    // --intra_threads (read in main via init_intra_threads) sets the
-    // process-wide shard-count default the scenario key can override.
-    if (cli.has("batch")) s.use_batch = cli.get_bool("batch", true);
-    if (cli.has("shard")) s.use_shard = cli.get_bool("shard", true);
-    if (cli.has("simd")) s.use_simd = cli.get_bool("simd", true);
-    // --plane=flat|sparse selects the delivery plane; --sample_degree sets
-    // the per-receiver sampled senders under sparse (0 = plane default);
-    // --sparse_seed picks the topology stream and --sparse_stream the
-    // frozen sample-derivation version (mirroring the scenario keys).
-    if (cli.has("plane")) s.sparse_plane = sim::parse_plane_name(cli.get("plane", ""));
-    if (cli.has("sample_degree"))
-        s.sample_degree = static_cast<Count>(cli.get_int("sample_degree", 0));
-    if (cli.has("sparse_seed"))
-        s.sparse_seed = static_cast<std::uint64_t>(cli.get_int("sparse_seed", 0));
-    if (cli.has("sparse_stream"))
-        s.sparse_stream = sim::parse_sparse_stream_name(cli.get("sparse_stream", ""));
-    // --fused=on|off co-executes 64 trials per machine word through the
-    // fused trial plane (scenario key `fused`); validate() rejects
-    // unsupported protocol/adversary/plane combinations with the
-    // why_incompatible message.
-    if (cli.has("fused")) s.use_fused = cli.get_bool("fused", false);
-    if (cli.has("watchdog_ms"))
-        s.watchdog_ms = static_cast<std::uint32_t>(cli.get_int("watchdog_ms", 0));
 
     const auto trials = static_cast<Count>(cli.get_int("trials", 20));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");  // queried late by maybe_csv; recognize it now
-    if (help_requested(cli, "binary")) return 0;
+    if (help_requested(cli, "binary",
+                       flag_help(sim::Scenario::keys(), kProcessWideKeys)))
+        return 0;
     cli.check_unused();      // fail on typos BEFORE burning trial time
 
     const sim::ScenarioPlan plan = sim::validate(s);
