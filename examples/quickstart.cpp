@@ -40,8 +40,9 @@ int main(int argc, char** argv) {
     std::vector<Bit> inputs(n);
     for (NodeId v = 0; v < n; ++v) inputs[v] = static_cast<Bit>(v & 1);
 
-    auto nodes = core::make_algorithm3_nodes(
-        params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
+    net::NodePool nodes;
+    core::arm_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases, inputs, seeds,
+                               nodes);
 
     // The strongest attack we know for this protocol family: rushing
     // observation of committee coin flips, greedy corruption to split or

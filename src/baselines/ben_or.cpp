@@ -1,5 +1,8 @@
 #include "baselines/ben_or.hpp"
 
+#include <functional>
+#include <tuple>
+
 #include "support/contracts.hpp"
 
 namespace adba::base {
@@ -92,24 +95,12 @@ void BenOrNode::round_receive(Round r, const net::ReceiveView& view) {
     if (p + 1 >= params_.phases) halted_ = true;
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_ben_or_nodes(
-    const BenOrParams& params, const std::vector<Bit>& inputs, const SeedTree& seeds) {
+void arm_ben_or_nodes(const BenOrParams& params, const std::vector<Bit>& inputs,
+                      const SeedTree& seeds, net::NodePool& nodes) {
     ADBA_EXPECTS(inputs.size() == params.n);
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(params.n);
-    for (NodeId v = 0; v < params.n; ++v) {
-        nodes.push_back(std::make_unique<BenOrNode>(
-            params, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v)));
-    }
-    return nodes;
-}
-
-void reinit_ben_or_nodes(const BenOrParams& params, const std::vector<Bit>& inputs,
-                         const SeedTree& seeds,
-                         std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.n);
-    net::reinit_node_pool<BenOrNode>(nodes, params.n, [&](BenOrNode& nd, NodeId v) {
-        nd.reinit(params, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v));
+    net::arm_node_pool<BenOrNode>(nodes, params.n, [&](NodeId v) {
+        return std::make_tuple(std::cref(params), v, inputs[v],
+                               seeds.stream(StreamPurpose::NodeProtocol, v));
     });
 }
 
@@ -450,18 +441,9 @@ void FusedBenOr::receive_round(Round r, const net::FusedFrame& frame) {
     }
 }
 
-std::unique_ptr<net::BatchProtocol> make_ben_or_batch(const BenOrParams& params,
-                                                      const std::vector<Bit>& inputs,
-                                                      const SeedTree& seeds) {
-    return std::make_unique<BenOrBatch>(params, inputs, seeds);
-}
-
-void reinit_ben_or_batch(const BenOrParams& params, const std::vector<Bit>& inputs,
-                         const SeedTree& seeds, net::BatchProtocol& batch) {
-    auto* b = dynamic_cast<BenOrBatch*>(&batch);
-    ADBA_EXPECTS_MSG(b != nullptr,
-                     "batch pool type does not match the requested protocol");
-    b->rearm(params, inputs, seeds);
+void arm_ben_or_batch(const BenOrParams& params, const std::vector<Bit>& inputs,
+                      const SeedTree& seeds, std::unique_ptr<net::BatchProtocol>& batch) {
+    net::arm_batch<BenOrBatch>(batch, params, inputs, seeds);
 }
 
 }  // namespace adba::base

@@ -160,19 +160,13 @@ private:
     std::vector<std::uint64_t> m_fin_, m_val1_, m_coin_;
 };
 
-std::vector<std::unique_ptr<net::HonestNode>> make_ben_or_nodes(
-    const BenOrParams& params, const std::vector<Bit>& inputs, const SeedTree& seeds);
+/// Arms the per-node form into an empty pool, or re-arms a pool armed
+/// earlier in place (no allocs).
+void arm_ben_or_nodes(const BenOrParams& params, const std::vector<Bit>& inputs,
+                      const SeedTree& seeds, net::NodePool& nodes);
 
-/// Re-arms a pool built by make_ben_or_nodes for a new trial (no allocs).
-void reinit_ben_or_nodes(const BenOrParams& params, const std::vector<Bit>& inputs,
-                         const SeedTree& seeds,
-                         std::vector<std::unique_ptr<net::HonestNode>>& nodes);
-
-/// Native batch factory / pooled reinit (mirrors make/reinit_ben_or_nodes).
-std::unique_ptr<net::BatchProtocol> make_ben_or_batch(const BenOrParams& params,
-                                                      const std::vector<Bit>& inputs,
-                                                      const SeedTree& seeds);
-void reinit_ben_or_batch(const BenOrParams& params, const std::vector<Bit>& inputs,
-                         const SeedTree& seeds, net::BatchProtocol& batch);
+/// Arms the native batch form the same way (mirrors arm_ben_or_nodes).
+void arm_ben_or_batch(const BenOrParams& params, const std::vector<Bit>& inputs,
+                      const SeedTree& seeds, std::unique_ptr<net::BatchProtocol>& batch);
 
 }  // namespace adba::base

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <tuple>
+#include <utility>
 
 #include "support/contracts.hpp"
 #include "support/math.hpp"
@@ -72,55 +75,25 @@ Bit ChorCoanNode::coin_value(Phase p, const net::ReceiveView& view) {
     return core::committee_coin_sum(view, p, first, last) >= 0 ? Bit{1} : Bit{0};
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_chor_coan_nodes(
-    const ChorCoanParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds) {
+void arm_chor_coan_nodes(const ChorCoanParams& params, AgreementMode mode,
+                         const std::vector<Bit>& inputs, const SeedTree& seeds,
+                         net::NodePool& nodes) {
     ADBA_EXPECTS(inputs.size() == params.n);
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(params.n);
-    for (NodeId v = 0; v < params.n; ++v) {
-        nodes.push_back(std::make_unique<ChorCoanNode>(
-            params, mode, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v)));
-    }
-    return nodes;
-}
-
-void reinit_chor_coan_nodes(const ChorCoanParams& params, AgreementMode mode,
-                            const std::vector<Bit>& inputs, const SeedTree& seeds,
-                            std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.n);
-    net::reinit_node_pool<ChorCoanNode>(nodes, params.n, [&](ChorCoanNode& nd,
-                                                             NodeId v) {
-        nd.reinit(params, mode, v, inputs[v],
-                  seeds.stream(StreamPurpose::NodeProtocol, v));
+    net::arm_node_pool<ChorCoanNode>(nodes, params.n, [&](NodeId v) {
+        return std::make_tuple(std::cref(params), mode, v, inputs[v],
+                               seeds.stream(StreamPurpose::NodeProtocol, v));
     });
 }
 
-namespace {
-
-core::BatchCoinSpec chor_coan_coin(const ChorCoanParams& params) {
+void arm_chor_coan_batch(const ChorCoanParams& params, AgreementMode mode,
+                         const std::vector<Bit>& inputs, const SeedTree& seeds,
+                         std::unique_ptr<net::BatchProtocol>& batch) {
     core::BatchCoinSpec coin;
     coin.kind = core::BatchCoinSpec::Kind::Committee;
     coin.schedule = params.schedule;
-    return coin;
-}
-
-}  // namespace
-
-std::unique_ptr<net::BatchProtocol> make_chor_coan_batch(
-    const ChorCoanParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds) {
-    return core::make_skeleton_batch(
-        core::SkeletonConfig{params.n, params.t, params.phases, mode},
-        chor_coan_coin(params), inputs, seeds);
-}
-
-void reinit_chor_coan_batch(const ChorCoanParams& params, AgreementMode mode,
-                            const std::vector<Bit>& inputs, const SeedTree& seeds,
-                            net::BatchProtocol& batch) {
-    core::reinit_skeleton_batch(
-        core::SkeletonConfig{params.n, params.t, params.phases, mode},
-        chor_coan_coin(params), inputs, seeds, batch);
+    net::arm_batch<core::SkeletonBatch>(
+        batch, core::SkeletonConfig{params.n, params.t, params.phases, mode}, std::move(coin),
+        inputs, seeds);
 }
 
 Round max_rounds_whp(const ChorCoanParams& p) { return 2 * (p.phases + 2); }

@@ -71,23 +71,17 @@ private:
     BlockSchedule sched_;
 };
 
-std::vector<std::unique_ptr<net::HonestNode>> make_chor_coan_nodes(
-    const ChorCoanParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds);
+/// Arms the per-node form into an empty pool, or re-arms a pool armed
+/// earlier in place (no allocs).
+void arm_chor_coan_nodes(const ChorCoanParams& params, AgreementMode mode,
+                         const std::vector<Bit>& inputs, const SeedTree& seeds,
+                         net::NodePool& nodes);
 
-/// Re-arms a pool built by make_chor_coan_nodes for a new trial (no allocs).
-void reinit_chor_coan_nodes(const ChorCoanParams& params, AgreementMode mode,
-                            const std::vector<Bit>& inputs, const SeedTree& seeds,
-                            std::vector<std::unique_ptr<net::HonestNode>>& nodes);
-
-/// Native SoA batch form (committee coin over the variant's schedule);
-/// bit-identical to the node vector, one dispatch per engine beat.
-std::unique_ptr<net::BatchProtocol> make_chor_coan_batch(
-    const ChorCoanParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds);
-void reinit_chor_coan_batch(const ChorCoanParams& params, AgreementMode mode,
-                            const std::vector<Bit>& inputs, const SeedTree& seeds,
-                            net::BatchProtocol& batch);
+/// Arms the native SoA batch form (committee coin over the variant's
+/// schedule); bit-identical to the node vector, one dispatch per engine beat.
+void arm_chor_coan_batch(const ChorCoanParams& params, AgreementMode mode,
+                         const std::vector<Bit>& inputs, const SeedTree& seeds,
+                         std::unique_ptr<net::BatchProtocol>& batch);
 
 /// The paper's round budget analogue for this baseline.
 Round max_rounds_whp(const ChorCoanParams& p);

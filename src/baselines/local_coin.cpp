@@ -1,5 +1,9 @@
 #include "baselines/local_coin.hpp"
 
+#include <functional>
+#include <tuple>
+#include <utility>
+
 #include "support/contracts.hpp"
 
 namespace adba::base {
@@ -9,48 +13,24 @@ LocalCoinNode::LocalCoinNode(const LocalCoinParams& params, core::AgreementMode 
     reinit(params, mode, self, input, rng);
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_local_coin_nodes(
-    const LocalCoinParams& params, core::AgreementMode mode,
-    const std::vector<Bit>& inputs, const SeedTree& seeds) {
+void arm_local_coin_nodes(const LocalCoinParams& params, core::AgreementMode mode,
+                          const std::vector<Bit>& inputs, const SeedTree& seeds,
+                          net::NodePool& nodes) {
     ADBA_EXPECTS(inputs.size() == params.n);
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(params.n);
-    for (NodeId v = 0; v < params.n; ++v) {
-        nodes.push_back(std::make_unique<LocalCoinNode>(
-            params, mode, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v)));
-    }
-    return nodes;
-}
-
-void reinit_local_coin_nodes(const LocalCoinParams& params, core::AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.n);
-    net::reinit_node_pool<LocalCoinNode>(nodes, params.n, [&](LocalCoinNode& nd,
-                                                              NodeId v) {
-        nd.reinit(params, mode, v, inputs[v],
-                  seeds.stream(StreamPurpose::NodeProtocol, v));
+    net::arm_node_pool<LocalCoinNode>(nodes, params.n, [&](NodeId v) {
+        return std::make_tuple(std::cref(params), mode, v, inputs[v],
+                               seeds.stream(StreamPurpose::NodeProtocol, v));
     });
 }
 
-std::unique_ptr<net::BatchProtocol> make_local_coin_batch(
-    const LocalCoinParams& params, core::AgreementMode mode,
-    const std::vector<Bit>& inputs, const SeedTree& seeds) {
+void arm_local_coin_batch(const LocalCoinParams& params, core::AgreementMode mode,
+                          const std::vector<Bit>& inputs, const SeedTree& seeds,
+                          std::unique_ptr<net::BatchProtocol>& batch) {
     core::BatchCoinSpec coin;
     coin.kind = core::BatchCoinSpec::Kind::Local;
-    return core::make_skeleton_batch(
-        core::SkeletonConfig{params.n, params.t, params.phases, mode},
-        std::move(coin), inputs, seeds);
-}
-
-void reinit_local_coin_batch(const LocalCoinParams& params, core::AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             net::BatchProtocol& batch) {
-    core::BatchCoinSpec coin;
-    coin.kind = core::BatchCoinSpec::Kind::Local;
-    core::reinit_skeleton_batch(
-        core::SkeletonConfig{params.n, params.t, params.phases, mode},
-        std::move(coin), inputs, seeds, batch);
+    net::arm_batch<core::SkeletonBatch>(
+        batch, core::SkeletonConfig{params.n, params.t, params.phases, mode}, std::move(coin),
+        inputs, seeds);
 }
 
 }  // namespace adba::base

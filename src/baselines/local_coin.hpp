@@ -44,21 +44,16 @@ protected:
     Bit coin_value(Phase, const net::ReceiveView&) override { return rng().bit(); }
 };
 
-std::vector<std::unique_ptr<net::HonestNode>> make_local_coin_nodes(
-    const LocalCoinParams& params, core::AgreementMode mode,
-    const std::vector<Bit>& inputs, const SeedTree& seeds);
+/// Arms the per-node form into an empty pool, or re-arms a pool armed
+/// earlier in place (no allocs).
+void arm_local_coin_nodes(const LocalCoinParams& params, core::AgreementMode mode,
+                          const std::vector<Bit>& inputs, const SeedTree& seeds,
+                          net::NodePool& nodes);
 
-/// Re-arms a pool built by make_local_coin_nodes for a new trial (no allocs).
-void reinit_local_coin_nodes(const LocalCoinParams& params, core::AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             std::vector<std::unique_ptr<net::HonestNode>>& nodes);
-
-/// Native SoA batch form (private coins); bit-identical to the node vector.
-std::unique_ptr<net::BatchProtocol> make_local_coin_batch(
-    const LocalCoinParams& params, core::AgreementMode mode,
-    const std::vector<Bit>& inputs, const SeedTree& seeds);
-void reinit_local_coin_batch(const LocalCoinParams& params, core::AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             net::BatchProtocol& batch);
+/// Arms the native SoA batch form (private coins); bit-identical to the
+/// node vector.
+void arm_local_coin_batch(const LocalCoinParams& params, core::AgreementMode mode,
+                          const std::vector<Bit>& inputs, const SeedTree& seeds,
+                          std::unique_ptr<net::BatchProtocol>& batch);
 
 }  // namespace adba::base

@@ -1,5 +1,8 @@
 #include "baselines/phase_king.hpp"
 
+#include <functional>
+#include <tuple>
+
 #include "support/contracts.hpp"
 
 namespace adba::base {
@@ -64,23 +67,12 @@ void PhaseKingNode::round_receive(Round r, const net::ReceiveView& view) {
     if (k + 1 == params_.phases()) halted_ = true;
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_phase_king_nodes(
-    const PhaseKingParams& params, const std::vector<Bit>& inputs) {
+void arm_phase_king_nodes(const PhaseKingParams& params, const std::vector<Bit>& inputs,
+                          net::NodePool& nodes) {
     ADBA_EXPECTS(inputs.size() == params.n);
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(params.n);
-    for (NodeId v = 0; v < params.n; ++v)
-        nodes.push_back(std::make_unique<PhaseKingNode>(params, v, inputs[v]));
-    return nodes;
-}
-
-void reinit_phase_king_nodes(const PhaseKingParams& params,
-                             const std::vector<Bit>& inputs,
-                             std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.n);
-    net::reinit_node_pool<PhaseKingNode>(
-        nodes, params.n,
-        [&](PhaseKingNode& nd, NodeId v) { nd.reinit(params, v, inputs[v]); });
+    net::arm_node_pool<PhaseKingNode>(nodes, params.n, [&](NodeId v) {
+        return std::make_tuple(std::cref(params), v, inputs[v]);
+    });
 }
 
 // --------------------------------------------------------- PhaseKingBatch
@@ -369,18 +361,9 @@ void FusedPhaseKing::receive_round(Round r, const net::FusedFrame& frame) {
     }
 }
 
-std::unique_ptr<net::BatchProtocol> make_phase_king_batch(
-    const PhaseKingParams& params, const std::vector<Bit>& inputs) {
-    return std::make_unique<PhaseKingBatch>(params, inputs);
-}
-
-void reinit_phase_king_batch(const PhaseKingParams& params,
-                             const std::vector<Bit>& inputs,
-                             net::BatchProtocol& batch) {
-    auto* b = dynamic_cast<PhaseKingBatch*>(&batch);
-    ADBA_EXPECTS_MSG(b != nullptr,
-                     "batch pool type does not match the requested protocol");
-    b->rearm(params, inputs);
+void arm_phase_king_batch(const PhaseKingParams& params, const std::vector<Bit>& inputs,
+                          std::unique_ptr<net::BatchProtocol>& batch) {
+    net::arm_batch<PhaseKingBatch>(batch, params, inputs);
 }
 
 }  // namespace adba::base

@@ -152,19 +152,13 @@ private:
     std::vector<std::uint64_t> m_maj_, m_strong_, m_kv_;
 };
 
-std::vector<std::unique_ptr<net::HonestNode>> make_phase_king_nodes(
-    const PhaseKingParams& params, const std::vector<Bit>& inputs);
+/// Arms the per-node form into an empty pool, or re-arms a pool armed
+/// earlier in place (no allocs).
+void arm_phase_king_nodes(const PhaseKingParams& params, const std::vector<Bit>& inputs,
+                          net::NodePool& nodes);
 
-/// Re-arms a pool built by make_phase_king_nodes for a new trial (no allocs).
-void reinit_phase_king_nodes(const PhaseKingParams& params,
-                             const std::vector<Bit>& inputs,
-                             std::vector<std::unique_ptr<net::HonestNode>>& nodes);
-
-/// Native batch factory / pooled reinit (mirrors make/reinit_phase_king_nodes).
-std::unique_ptr<net::BatchProtocol> make_phase_king_batch(
-    const PhaseKingParams& params, const std::vector<Bit>& inputs);
-void reinit_phase_king_batch(const PhaseKingParams& params,
-                             const std::vector<Bit>& inputs,
-                             net::BatchProtocol& batch);
+/// Arms the native batch form the same way (mirrors arm_phase_king_nodes).
+void arm_phase_king_batch(const PhaseKingParams& params, const std::vector<Bit>& inputs,
+                          std::unique_ptr<net::BatchProtocol>& batch);
 
 }  // namespace adba::base

@@ -24,23 +24,23 @@ namespace adba::base {
 struct RabinDealerParams {
     NodeId n = 0;
     Count t = 0;
-    Count phases = 1;          ///< w.h.p. budget: failure prob <= 2^-phases
-    std::uint64_t dealer_seed = 0;
+    Count phases = 1;  ///< w.h.p. budget: failure prob <= 2^-phases
 
-    /// phases = ⌈γ·log2 n⌉ + 1 gives failure probability <= 2/n^γ.
-    static RabinDealerParams compute(NodeId n, Count t, std::uint64_t dealer_seed,
-                                     double gamma = 2.0);
+    /// phases = ⌈γ·log2 n⌉ + 1 gives failure probability <= 2/n^γ. The
+    /// dealer seed is per trial, so it is not a parameter: the arm functions
+    /// read it from the trial's DealerCoin stream.
+    static RabinDealerParams compute(NodeId n, Count t, double gamma = 2.0);
 };
 
 class RabinDealerNode final : public core::RabinSkeletonNode {
 public:
     RabinDealerNode(const RabinDealerParams& params, core::AgreementMode mode,
-                    NodeId self, Bit input, Xoshiro256 rng);
+                    NodeId self, Bit input, std::uint64_t dealer_seed, Xoshiro256 rng);
 
     /// Re-arms a pooled node for a fresh trial (constructor contract; the
     /// dealer seed is per-trial, so it is re-latched here).
     void reinit(const RabinDealerParams& params, core::AgreementMode mode,
-                NodeId self, Bit input, Xoshiro256 rng);
+                NodeId self, Bit input, std::uint64_t dealer_seed, Xoshiro256 rng);
 
     /// The dealer's public coin for phase p (identical at every node).
     static Bit dealer_coin(std::uint64_t dealer_seed, Phase p);
@@ -53,24 +53,17 @@ private:
     std::uint64_t dealer_seed_ = 0;
 };
 
-std::vector<std::unique_ptr<net::HonestNode>> make_rabin_dealer_nodes(
-    const RabinDealerParams& params, core::AgreementMode mode,
-    const std::vector<Bit>& inputs, const SeedTree& seeds);
+/// Arms the per-node form (every node latches the trial's DealerCoin seed)
+/// into an empty pool, or re-arms a pool armed earlier in place.
+void arm_rabin_dealer_nodes(const RabinDealerParams& params, core::AgreementMode mode,
+                            const std::vector<Bit>& inputs, const SeedTree& seeds,
+                            net::NodePool& nodes);
 
-/// Re-arms a pool built by make_rabin_dealer_nodes for a new trial.
-void reinit_rabin_dealer_nodes(const RabinDealerParams& params,
-                               core::AgreementMode mode,
-                               const std::vector<Bit>& inputs, const SeedTree& seeds,
-                               std::vector<std::unique_ptr<net::HonestNode>>& nodes);
-
-/// Native SoA batch form (dealer coin); bit-identical to the node vector.
-std::unique_ptr<net::BatchProtocol> make_rabin_dealer_batch(
-    const RabinDealerParams& params, core::AgreementMode mode,
-    const std::vector<Bit>& inputs, const SeedTree& seeds);
-void reinit_rabin_dealer_batch(const RabinDealerParams& params,
-                               core::AgreementMode mode,
-                               const std::vector<Bit>& inputs, const SeedTree& seeds,
-                               net::BatchProtocol& batch);
+/// Arms the native SoA batch form (dealer coin from the trial's DealerCoin
+/// seed); bit-identical to the node vector.
+void arm_rabin_dealer_batch(const RabinDealerParams& params, core::AgreementMode mode,
+                            const std::vector<Bit>& inputs, const SeedTree& seeds,
+                            std::unique_ptr<net::BatchProtocol>& batch);
 
 Round max_rounds_whp(const RabinDealerParams& p);
 

@@ -1,6 +1,8 @@
 #include "baselines/sampling_majority.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <tuple>
 
 #include "support/contracts.hpp"
 #include "support/math.hpp"
@@ -75,28 +77,14 @@ void SamplingMajorityNode::round_receive(Round r, const net::ReceiveView& view) 
     val_ = ones >= 2 ? Bit{1} : Bit{0};
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_sampling_majority_nodes(
-    const SamplingMajorityParams& params, const std::vector<Bit>& inputs,
-    const SeedTree& seeds) {
+void arm_sampling_majority_nodes(const SamplingMajorityParams& params,
+                                 const std::vector<Bit>& inputs, const SeedTree& seeds,
+                                 net::NodePool& nodes) {
     ADBA_EXPECTS(inputs.size() == params.n);
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(params.n);
-    for (NodeId v = 0; v < params.n; ++v) {
-        nodes.push_back(std::make_unique<SamplingMajorityNode>(
-            params, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v)));
-    }
-    return nodes;
-}
-
-void reinit_sampling_majority_nodes(
-    const SamplingMajorityParams& params, const std::vector<Bit>& inputs,
-    const SeedTree& seeds, std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.n);
-    net::reinit_node_pool<SamplingMajorityNode>(
-        nodes, params.n, [&](SamplingMajorityNode& nd, NodeId v) {
-            nd.reinit(params, v, inputs[v],
-                      seeds.stream(StreamPurpose::NodeProtocol, v));
-        });
+    net::arm_node_pool<SamplingMajorityNode>(nodes, params.n, [&](NodeId v) {
+        return std::make_tuple(std::cref(params), v, inputs[v],
+                               seeds.stream(StreamPurpose::NodeProtocol, v));
+    });
 }
 
 }  // namespace adba::base

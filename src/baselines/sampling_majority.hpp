@@ -66,13 +66,10 @@ private:
     bool halted_ = false;
 };
 
-std::vector<std::unique_ptr<net::HonestNode>> make_sampling_majority_nodes(
-    const SamplingMajorityParams& params, const std::vector<Bit>& inputs,
-    const SeedTree& seeds);
-
-/// Re-arms a pool built by make_sampling_majority_nodes for a new trial.
-void reinit_sampling_majority_nodes(
-    const SamplingMajorityParams& params, const std::vector<Bit>& inputs,
-    const SeedTree& seeds, std::vector<std::unique_ptr<net::HonestNode>>& nodes);
+/// Arms the node set into an empty pool, or re-arms a pool armed earlier
+/// in place (no allocs).
+void arm_sampling_majority_nodes(const SamplingMajorityParams& params,
+                                 const std::vector<Bit>& inputs, const SeedTree& seeds,
+                                 net::NodePool& nodes);
 
 }  // namespace adba::base

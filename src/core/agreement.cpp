@@ -1,5 +1,9 @@
 #include "core/agreement.hpp"
 
+#include <functional>
+#include <tuple>
+#include <utility>
+
 #include "support/contracts.hpp"
 
 namespace adba::core {
@@ -26,53 +30,24 @@ Bit Algorithm3Node::coin_value(Phase p, const net::ReceiveView& view) {
     return committee_coin_sum(view, p, first, last) >= 0 ? Bit{1} : Bit{0};
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_algorithm3_nodes(
-    const AgreementParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds) {
+void arm_algorithm3_nodes(const AgreementParams& params, AgreementMode mode,
+                          const std::vector<Bit>& inputs, const SeedTree& seeds,
+                          net::NodePool& nodes) {
     ADBA_EXPECTS(inputs.size() == params.n);
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(params.n);
-    for (NodeId v = 0; v < params.n; ++v) {
-        nodes.push_back(std::make_unique<Algorithm3Node>(
-            params, mode, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v)));
-    }
-    return nodes;
-}
-
-void reinit_algorithm3_nodes(const AgreementParams& params, AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.n);
-    net::reinit_node_pool<Algorithm3Node>(nodes, params.n, [&](Algorithm3Node& nd,
-                                                               NodeId v) {
-        nd.reinit(params, mode, v, inputs[v],
-                  seeds.stream(StreamPurpose::NodeProtocol, v));
+    net::arm_node_pool<Algorithm3Node>(nodes, params.n, [&](NodeId v) {
+        return std::make_tuple(std::cref(params), mode, v, inputs[v],
+                               seeds.stream(StreamPurpose::NodeProtocol, v));
     });
 }
 
-namespace {
-
-BatchCoinSpec alg3_coin(const AgreementParams& params) {
+void arm_algorithm3_batch(const AgreementParams& params, AgreementMode mode,
+                          const std::vector<Bit>& inputs, const SeedTree& seeds,
+                          std::unique_ptr<net::BatchProtocol>& batch) {
     BatchCoinSpec coin;
     coin.kind = BatchCoinSpec::Kind::Committee;
     coin.schedule = params.schedule;
-    return coin;
-}
-
-}  // namespace
-
-std::unique_ptr<net::BatchProtocol> make_algorithm3_batch(
-    const AgreementParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds) {
-    return make_skeleton_batch(SkeletonConfig{params.n, params.t, params.phases, mode},
-                               alg3_coin(params), inputs, seeds);
-}
-
-void reinit_algorithm3_batch(const AgreementParams& params, AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             net::BatchProtocol& batch) {
-    reinit_skeleton_batch(SkeletonConfig{params.n, params.t, params.phases, mode},
-                          alg3_coin(params), inputs, seeds, batch);
+    net::arm_batch<SkeletonBatch>(batch, SkeletonConfig{params.n, params.t, params.phases, mode},
+                                  std::move(coin), inputs, seeds);
 }
 
 }  // namespace adba::core

@@ -42,28 +42,19 @@ private:
     BlockSchedule sched_;
 };
 
-/// Builds the full node vector for one run: node v gets inputs[v] and an
-/// independent protocol stream from the seed tree.
-std::vector<std::unique_ptr<net::HonestNode>> make_algorithm3_nodes(
-    const AgreementParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds);
+/// Arms the per-node form for one run: node v gets inputs[v] and an
+/// independent protocol stream from the seed tree. An empty pool is built;
+/// a pool armed earlier (same n, same node type) is re-armed in place with
+/// zero allocation.
+void arm_algorithm3_nodes(const AgreementParams& params, AgreementMode mode,
+                          const std::vector<Bit>& inputs, const SeedTree& seeds,
+                          net::NodePool& nodes);
 
-/// Re-arms a pool previously built by make_algorithm3_nodes for a new trial,
-/// with zero allocation. Pool size and node types must match.
-void reinit_algorithm3_nodes(const AgreementParams& params, AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             std::vector<std::unique_ptr<net::HonestNode>>& nodes);
-
-/// Native SoA batch form of the same protocol (core/skeleton_batch.hpp with
-/// the committee coin): bit-identical to the node vector above, one
-/// dispatch per engine beat.
-std::unique_ptr<net::BatchProtocol> make_algorithm3_batch(
-    const AgreementParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds);
-
-/// Re-arms a batch built by make_algorithm3_batch for a new trial.
-void reinit_algorithm3_batch(const AgreementParams& params, AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             net::BatchProtocol& batch);
+/// Arms the native SoA batch form of the same protocol (core/skeleton_batch.hpp
+/// with the committee coin): bit-identical to the node vector above, one
+/// dispatch per engine beat. Builds on an empty slot, re-arms otherwise.
+void arm_algorithm3_batch(const AgreementParams& params, AgreementMode mode,
+                          const std::vector<Bit>& inputs, const SeedTree& seeds,
+                          std::unique_ptr<net::BatchProtocol>& batch);
 
 }  // namespace adba::core

@@ -1,5 +1,8 @@
 #include "core/common_coin.hpp"
 
+#include <functional>
+#include <tuple>
+
 #include "support/contracts.hpp"
 
 namespace adba::core {
@@ -38,21 +41,10 @@ void CoinFlipNode::round_receive(Round r, const net::ReceiveView& view) {
     halted_ = true;
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_coin_nodes(const CoinConfig& cfg,
-                                                              const SeedTree& seeds) {
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(cfg.n);
-    for (NodeId v = 0; v < cfg.n; ++v) {
-        nodes.push_back(std::make_unique<CoinFlipNode>(
-            cfg, v, seeds.stream(StreamPurpose::NodeProtocol, v)));
-    }
-    return nodes;
-}
-
-void reinit_coin_nodes(const CoinConfig& cfg, const SeedTree& seeds,
-                       std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    net::reinit_node_pool<CoinFlipNode>(nodes, cfg.n, [&](CoinFlipNode& nd, NodeId v) {
-        nd.reinit(cfg, v, seeds.stream(StreamPurpose::NodeProtocol, v));
+void arm_coin_nodes(const CoinConfig& cfg, const SeedTree& seeds, net::NodePool& nodes) {
+    net::arm_node_pool<CoinFlipNode>(nodes, cfg.n, [&](NodeId v) {
+        return std::make_tuple(std::cref(cfg), v,
+                               seeds.stream(StreamPurpose::NodeProtocol, v));
     });
 }
 

@@ -58,12 +58,8 @@ private:
     bool halted_ = false;
 };
 
-/// Builds all n participants with independent streams.
-std::vector<std::unique_ptr<net::HonestNode>> make_coin_nodes(const CoinConfig& cfg,
-                                                              const SeedTree& seeds);
-
-/// Re-arms a pool built by make_coin_nodes for a new trial (no allocs).
-void reinit_coin_nodes(const CoinConfig& cfg, const SeedTree& seeds,
-                       std::vector<std::unique_ptr<net::HonestNode>>& nodes);
+/// Arms all n participants with independent streams: builds an empty
+/// pool, or re-arms a pool armed earlier in place (no allocs).
+void arm_coin_nodes(const CoinConfig& cfg, const SeedTree& seeds, net::NodePool& nodes);
 
 }  // namespace adba::core

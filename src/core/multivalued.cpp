@@ -1,5 +1,8 @@
 #include "core/multivalued.hpp"
 
+#include <functional>
+#include <tuple>
+
 #include "support/contracts.hpp"
 
 namespace adba::core {
@@ -108,29 +111,14 @@ net::Word TurpinCoanNode::output_word() const {
     return x_star_;
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_turpin_coan_nodes(
-    const MultiValuedParams& params, const std::vector<net::Word>& inputs,
-    const SeedTree& seeds) {
+void arm_turpin_coan_nodes(const MultiValuedParams& params,
+                           const std::vector<net::Word>& inputs, const SeedTree& seeds,
+                           net::NodePool& nodes) {
     ADBA_EXPECTS(inputs.size() == params.binary.n);
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(params.binary.n);
-    for (NodeId v = 0; v < params.binary.n; ++v) {
-        nodes.push_back(std::make_unique<TurpinCoanNode>(
-            params, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v)));
-    }
-    return nodes;
-}
-
-void reinit_turpin_coan_nodes(const MultiValuedParams& params,
-                              const std::vector<net::Word>& inputs,
-                              const SeedTree& seeds,
-                              std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.binary.n);
-    net::reinit_node_pool<TurpinCoanNode>(
-        nodes, params.binary.n, [&](TurpinCoanNode& nd, NodeId v) {
-            nd.reinit(params, v, inputs[v],
-                      seeds.stream(StreamPurpose::NodeProtocol, v));
-        });
+    net::arm_node_pool<TurpinCoanNode>(nodes, params.binary.n, [&](NodeId v) {
+        return std::make_tuple(std::cref(params), v, inputs[v],
+                               seeds.stream(StreamPurpose::NodeProtocol, v));
+    });
 }
 
 Round max_rounds_whp(const MultiValuedParams& p) {

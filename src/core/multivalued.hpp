@@ -81,15 +81,11 @@ private:
     bool inner_live_ = false;
 };
 
-std::vector<std::unique_ptr<net::HonestNode>> make_turpin_coan_nodes(
-    const MultiValuedParams& params, const std::vector<net::Word>& inputs,
-    const SeedTree& seeds);
-
-/// Re-arms a pool built by make_turpin_coan_nodes for a new trial.
-void reinit_turpin_coan_nodes(const MultiValuedParams& params,
-                              const std::vector<net::Word>& inputs,
-                              const SeedTree& seeds,
-                              std::vector<std::unique_ptr<net::HonestNode>>& nodes);
+/// Arms the node set into an empty pool, or re-arms a pool armed earlier
+/// in place.
+void arm_turpin_coan_nodes(const MultiValuedParams& params,
+                           const std::vector<net::Word>& inputs, const SeedTree& seeds,
+                           net::NodePool& nodes);
 
 /// Engine round budget: 2 prelude rounds + the binary budget.
 Round max_rounds_whp(const MultiValuedParams& p);

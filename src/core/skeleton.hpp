@@ -49,6 +49,14 @@ enum class AgreementMode : std::uint8_t {
     LasVegas,
 };
 
+/// The engine round cap for a run in `mode`, from the protocol's w.h.p.
+/// round budget: that budget itself, or for Las Vegas (which cycles
+/// committees until every node decides) 32 times it plus 256 rounds as the
+/// safety stop.
+constexpr Round round_cap(Round whp_rounds, AgreementMode mode) {
+    return mode == AgreementMode::LasVegas ? 32 * whp_rounds + 256 : whp_rounds;
+}
+
 struct SkeletonConfig {
     NodeId n = 0;
     Count t = 0;          ///< threshold parameter (n-t / t+1 tallies)

@@ -372,19 +372,4 @@ void SkeletonBatch::receive_all(Round r, const net::RoundBuffer& buf,
         });
 }
 
-std::unique_ptr<net::BatchProtocol> make_skeleton_batch(
-    const SkeletonConfig& cfg, BatchCoinSpec coin, const std::vector<Bit>& inputs,
-    const SeedTree& seeds) {
-    return std::make_unique<SkeletonBatch>(cfg, std::move(coin), inputs, seeds);
-}
-
-void reinit_skeleton_batch(const SkeletonConfig& cfg, BatchCoinSpec coin,
-                           const std::vector<Bit>& inputs, const SeedTree& seeds,
-                           net::BatchProtocol& batch) {
-    auto* b = dynamic_cast<SkeletonBatch*>(&batch);
-    ADBA_EXPECTS_MSG(b != nullptr,
-                     "batch pool type does not match the requested protocol");
-    b->rearm(cfg, std::move(coin), inputs, seeds);
-}
-
 }  // namespace adba::core

@@ -144,13 +144,4 @@ private:
     std::vector<Xoshiro256> rng_;  ///< per-node streams, flat
 };
 
-/// Factory + pooled-reinit pair mirroring make_*_nodes/reinit_*_nodes;
-/// `reinit` checks the batch was built by this factory (type + size).
-std::unique_ptr<net::BatchProtocol> make_skeleton_batch(
-    const SkeletonConfig& cfg, BatchCoinSpec coin, const std::vector<Bit>& inputs,
-    const SeedTree& seeds);
-void reinit_skeleton_batch(const SkeletonConfig& cfg, BatchCoinSpec coin,
-                           const std::vector<Bit>& inputs, const SeedTree& seeds,
-                           net::BatchProtocol& batch);
-
 }  // namespace adba::core

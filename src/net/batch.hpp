@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/node.hpp"
@@ -200,5 +201,20 @@ private:
     std::vector<std::unique_ptr<HonestNode>> nodes_;
     std::vector<std::uint8_t> halted_;
 };
+
+/// Shared arm behind every protocol's arm_*_batch: an empty slot gets a
+/// fresh `Batch(args...)`; a slot filled earlier is checked to hold a
+/// `Batch` and re-armed in place through `Batch::rearm(args...)`, which
+/// takes the constructor's arguments.
+template <typename Batch, typename... Args>
+void arm_batch(std::unique_ptr<BatchProtocol>& slot, Args&&... args) {
+    if (!slot) {
+        slot = std::make_unique<Batch>(std::forward<Args>(args)...);
+        return;
+    }
+    auto* b = dynamic_cast<Batch*>(slot.get());
+    ADBA_EXPECTS_MSG(b != nullptr, "batch pool type does not match the requested protocol");
+    b->rearm(std::forward<Args>(args)...);
+}
 
 }  // namespace adba::net

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "net/message.hpp"
@@ -57,17 +58,29 @@ public:
     virtual Bit output() const { return current_value(); }
 };
 
-/// Shared loop behind every protocol's reinit_*_nodes: checks the pool was
-/// built for this node type and size, then re-arms each node in id order via
-/// `per_node(node, v)`. Trial runners use this to reuse node sets across
-/// Monte-Carlo trials with zero allocation.
-template <typename Node, typename Fn>
-void reinit_node_pool(std::vector<std::unique_ptr<HonestNode>>& nodes, NodeId n,
-                      Fn&& per_node) {
+/// A protocol's per-node form: one node per id, engine-owned during a run.
+using NodePool = std::vector<std::unique_ptr<HonestNode>>;
+
+/// Shared loop behind every protocol's arm_*_nodes. `args(v)` returns node
+/// v's constructor arguments as a tuple; `Node::reinit` takes the same
+/// arguments. An empty pool is filled with n fresh nodes; a pool built
+/// earlier is checked for this node type and size and re-armed in id order
+/// with zero allocation, so trial runners reuse one pool across trials.
+template <typename Node, typename ArgsFn>
+void arm_node_pool(NodePool& nodes, NodeId n, ArgsFn&& args) {
+    if (nodes.empty()) {
+        nodes.reserve(n);
+        for (NodeId v = 0; v < n; ++v)
+            nodes.push_back(std::apply(
+                [](auto&&... a) { return std::make_unique<Node>(a...); }, args(v)));
+        return;
+    }
     ADBA_EXPECTS(nodes.size() == n);
     ADBA_EXPECTS_MSG(dynamic_cast<Node*>(nodes.front().get()) != nullptr,
                      "node pool type does not match the requested protocol");
-    for (NodeId v = 0; v < n; ++v) per_node(*static_cast<Node*>(nodes[v].get()), v);
+    for (NodeId v = 0; v < n; ++v)
+        std::apply([&](auto&&... a) { static_cast<Node*>(nodes[v].get())->reinit(a...); },
+                   args(v));
 }
 
 }  // namespace adba::net

@@ -23,11 +23,7 @@ public:
     CoinTrial run(std::uint64_t seed) {
         const SeedTree seeds(seed);
         const core::CoinConfig cfg{s_.n, s_.designated};
-        if (nodes_.empty()) {
-            nodes_ = core::make_coin_nodes(cfg, seeds);
-        } else {
-            core::reinit_coin_nodes(cfg, seeds, nodes_);
-        }
+        core::arm_coin_nodes(cfg, seeds, nodes_);
 
         adv::CoinRuinAdversary adversary(
             adv::CoinRuinConfig{s_.designated, s_.f, s_.attack, s_.forced_bit});
@@ -59,7 +55,7 @@ public:
 
 private:
     CoinScenario s_;
-    std::vector<std::unique_ptr<net::HonestNode>> nodes_;
+    net::NodePool nodes_;
     std::optional<net::Engine> engine_;
 };
 

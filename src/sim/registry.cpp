@@ -103,480 +103,321 @@ template class RegistryBase<MvAdversaryEntry, MvAdversaryKind>;
 
 // ---------------------------------------------------------- built-in protocols
 
+namespace {
+
+using Inputs = std::vector<Bit>;
+using BatchSlot = std::unique_ptr<net::BatchProtocol>;
+using core::AgreementMode;
+
+/// One protocol's declaration. Its params come from the scenario alone, and
+/// everything else — phases, round cap, committee schedule, each form's arm
+/// — reads those params, so every form and every capability listing makes
+/// the same decision. An arm function builds its form on first use and
+/// re-arms it in place after that.
+template <typename P>
+struct ProtocolDecl {
+    P (*params)(const Scenario&);
+    BudgetHint (*budget)(const P&);
+    core::BlockSchedule (*schedule)(const P&) = nullptr;  ///< null: no committees
+    void (*arm_nodes)(const P&, const Inputs&, const SeedTree&, net::NodePool&);
+    void (*arm_batch)(const P&, const Inputs&, const SeedTree&, BatchSlot&) = nullptr;
+    bool sparse = false;  ///< the batch also answers sparse receive beats
+    /// The 64-lane form, built once per arena; FusedProtocol::rearm re-arms
+    /// it per block. Null: no fused form.
+    std::unique_ptr<net::FusedProtocol> (*fused)(const P&) = nullptr;
+};
+
+/// A bundle with no form armed: the one place its metadata is filled.
+ProtocolBundle unarmed_bundle(const BudgetHint& hint,
+                              std::optional<core::BlockSchedule> schedule) {
+    ProtocolBundle b;
+    b.phases = hint.phases;
+    b.default_max_rounds = hint.max_rounds;
+    b.schedule = std::move(schedule);
+    return b;
+}
+
+/// `e` (names, resilience, strongest adversary) with every factory and hook
+/// field derived from `d`.
+template <typename P>
+ProtocolEntry declare(ProtocolEntry e, const ProtocolDecl<P> d) {
+    const auto metadata = [d](const P& p) {
+        return unarmed_bundle(d.budget(p), d.schedule ? std::optional(d.schedule(p))
+                                                      : std::nullopt);
+    };
+    const auto form = [&](auto arm, auto slot, auto& make, auto& reinit) {
+        make = [d, metadata, arm, slot](const Scenario& s, const Inputs& in,
+                                        const SeedTree& seeds) {
+            const P p = d.params(s);
+            ProtocolBundle b = metadata(p);
+            arm(p, in, seeds, b.*slot);
+            return b;
+        };
+        reinit = [d, arm, slot](const Scenario& s, const Inputs& in, const SeedTree& seeds,
+                                ProtocolBundle& b) { arm(d.params(s), in, seeds, b.*slot); };
+    };
+    form(d.arm_nodes, &ProtocolBundle::nodes, e.make_nodes, e.reinit_nodes);
+    if (d.arm_batch) form(d.arm_batch, &ProtocolBundle::batch, e.make_batch, e.reinit_batch);
+    e.supports_sparse = d.sparse;
+    e.budgets = [d](const Scenario& s) { return d.budget(d.params(s)); };
+    if (d.schedule) e.schedule_of = [d](const Scenario& s) { return d.schedule(d.params(s)); };
+    if (d.fused) e.make_fused = [d](const Scenario& s) { return d.fused(d.params(s)); };
+    return e;
+}
+
+std::unique_ptr<net::FusedProtocol> fused_skeleton(NodeId n, Count t, Count phases,
+                                                   AgreementMode mode,
+                                                   core::FusedCoinSpec coin) {
+    return std::make_unique<core::FusedSkeleton>(core::SkeletonConfig{n, t, phases, mode},
+                                                 std::move(coin));
+}
+
+/// Algorithm 3 (the paper) in `kMode`.
+template <AgreementMode kMode>
+ProtocolDecl<core::AgreementParams> algorithm3() {
+    using P = core::AgreementParams;
+    return {.params = [](const Scenario& s) { return P::compute(s.n, s.t, s.tuning); },
+            .budget =
+                [](const P& p) {
+                    return BudgetHint{p.phases, core::round_cap(core::max_rounds_whp(p), kMode)};
+                },
+            .schedule = [](const P& p) { return p.schedule; },
+            .arm_nodes =
+                [](const P& p, const Inputs& in, const SeedTree& seeds, net::NodePool& pool) {
+                    core::arm_algorithm3_nodes(p, kMode, in, seeds, pool);
+                },
+            .arm_batch =
+                [](const P& p, const Inputs& in, const SeedTree& seeds, BatchSlot& slot) {
+                    core::arm_algorithm3_batch(p, kMode, in, seeds, slot);
+                },
+            .sparse = true,
+            .fused = [](const P& p) {
+                return fused_skeleton(p.n, p.t, p.phases, kMode,
+                                      {core::FusedCoinSpec::Kind::Committee, p.schedule, nullptr});
+            }};
+}
+
+/// Chor-Coan with the committee sizing `compute` picks (rushing or classic).
+template <base::ChorCoanParams (*compute)(NodeId, Count, const core::Tuning&)>
+ProtocolDecl<base::ChorCoanParams> chor_coan() {
+    using P = base::ChorCoanParams;
+    constexpr AgreementMode kWhp = AgreementMode::WhpFixedPhases;
+    return {.params = [](const Scenario& s) { return compute(s.n, s.t, s.tuning); },
+            .budget = [](const P& p) { return BudgetHint{p.phases, base::max_rounds_whp(p)}; },
+            .schedule = [](const P& p) { return p.schedule; },
+            .arm_nodes =
+                [](const P& p, const Inputs& in, const SeedTree& seeds, net::NodePool& pool) {
+                    base::arm_chor_coan_nodes(p, kWhp, in, seeds, pool);
+                },
+            .arm_batch =
+                [](const P& p, const Inputs& in, const SeedTree& seeds, BatchSlot& slot) {
+                    base::arm_chor_coan_batch(p, kWhp, in, seeds, slot);
+                },
+            .sparse = true,
+            .fused = [](const P& p) {
+                return fused_skeleton(p.n, p.t, p.phases, kWhp,
+                                      {core::FusedCoinSpec::Kind::Committee, p.schedule, nullptr});
+            }};
+}
+
+ProtocolDecl<base::RabinDealerParams> rabin_dealer() {
+    using P = base::RabinDealerParams;
+    constexpr AgreementMode kWhp = AgreementMode::WhpFixedPhases;
+    return {.params = [](const Scenario& s) { return P::compute(s.n, s.t, s.tuning.gamma); },
+            .budget = [](const P& p) { return BudgetHint{p.phases, base::max_rounds_whp(p)}; },
+            .arm_nodes =
+                [](const P& p, const Inputs& in, const SeedTree& seeds, net::NodePool& pool) {
+                    base::arm_rabin_dealer_nodes(p, kWhp, in, seeds, pool);
+                },
+            .arm_batch =
+                [](const P& p, const Inputs& in, const SeedTree& seeds, BatchSlot& slot) {
+                    base::arm_rabin_dealer_batch(p, kWhp, in, seeds, slot);
+                },
+            .sparse = true,
+            // Per-lane dealer seeds come from each lane's DealerCoin stream
+            // at rearm time (skeleton_fused.cpp).
+            .fused = [](const P& p) {
+                return fused_skeleton(p.n, p.t, p.phases, kWhp,
+                                      {core::FusedCoinSpec::Kind::Dealer, {},
+                                       &base::RabinDealerNode::dealer_coin});
+            }};
+}
+
+ProtocolDecl<base::LocalCoinParams> local_coin() {
+    using P = base::LocalCoinParams;
+    constexpr AgreementMode kWhp = AgreementMode::WhpFixedPhases;
+    return {.params = [](const Scenario& s) { return P{s.n, s.t, s.local_coin_phases}; },
+            .budget =
+                [](const P& p) { return BudgetHint{p.phases, static_cast<Round>(2 * (p.phases + 2))}; },
+            .arm_nodes =
+                [](const P& p, const Inputs& in, const SeedTree& seeds, net::NodePool& pool) {
+                    base::arm_local_coin_nodes(p, kWhp, in, seeds, pool);
+                },
+            .arm_batch =
+                [](const P& p, const Inputs& in, const SeedTree& seeds, BatchSlot& slot) {
+                    base::arm_local_coin_batch(p, kWhp, in, seeds, slot);
+                },
+            .sparse = true,
+            .fused = [](const P& p) {
+                return fused_skeleton(p.n, p.t, p.phases, kWhp,
+                                      {core::FusedCoinSpec::Kind::Local, {}, nullptr});
+            }};
+}
+
+ProtocolDecl<base::BenOrParams> ben_or() {
+    using P = base::BenOrParams;
+    return {.params = [](const Scenario& s) { return P{s.n, s.t, s.local_coin_phases}; },
+            .budget =
+                [](const P& p) { return BudgetHint{p.phases, static_cast<Round>(2 * (p.phases + 2))}; },
+            .arm_nodes = &base::arm_ben_or_nodes,
+            .arm_batch = &base::arm_ben_or_batch,
+            .sparse = true,
+            .fused = [](const P& p) -> std::unique_ptr<net::FusedProtocol> {
+                return std::make_unique<base::FusedBenOr>(p);
+            }};
+}
+
+ProtocolDecl<base::PhaseKingParams> phase_king() {
+    using P = base::PhaseKingParams;
+    return {.params = [](const Scenario& s) { return P{s.n, s.t}; },
+            .budget =
+                [](const P& p) {
+                    return BudgetHint{p.phases(), static_cast<Round>(p.total_rounds() + 2)};
+                },
+            .arm_nodes =
+                [](const P& p, const Inputs& in, const SeedTree&, net::NodePool& pool) {
+                    base::arm_phase_king_nodes(p, in, pool);
+                },
+            .arm_batch =
+                [](const P& p, const Inputs& in, const SeedTree&, BatchSlot& slot) {
+                    base::arm_phase_king_batch(p, in, slot);
+                },
+            .sparse = true,
+            .fused = [](const P& p) -> std::unique_ptr<net::FusedProtocol> {
+                return std::make_unique<base::FusedPhaseKing>(p);
+            }};
+}
+
+ProtocolDecl<base::SamplingMajorityParams> sampling_majority() {
+    using P = base::SamplingMajorityParams;
+    // No native batch: sampling-majority's receive is per-receiver
+    // randomized (two random senders per node), so batching would only save
+    // the dispatch; it rides the PerNodeBatch adapter.
+    return {.params = [](const Scenario& s) { return P::compute(s.n, s.t, s.sampling_kappa); },
+            .budget = [](const P& p) { return BudgetHint{p.rounds, static_cast<Round>(p.rounds + 1)}; },
+            .arm_nodes = &base::arm_sampling_majority_nodes};
+}
+
+}  // namespace
+
 ProtocolRegistry& ProtocolRegistry::instance() {
     static ProtocolRegistry reg;
     return reg;
 }
 
+const ProtocolEntry& ProtocolRegistry::add(ProtocolEntry entry) {
+    // Checked before RegistryBase::add mutates anything, so a rejected
+    // plug-in leaves the registry exactly as it was.
+    const auto require = [&](bool ok, const char* what) {
+        if (!ok) throw ContractViolation("protocol '" + entry.name + "' " + what);
+    };
+    require(entry.supports && entry.budgets, "needs a supports predicate and budgets");
+    require(entry.make_nodes && entry.reinit_nodes,
+            "needs a per-node form: make_nodes together with reinit_nodes");
+    require(!entry.make_batch == !entry.reinit_batch,
+            "must pair make_batch with reinit_batch (a native batch form needs both)");
+    require(!entry.supports_sparse || entry.make_batch,
+            "sets supports_sparse without a native batch form (make_batch)");
+    return RegistryBase::add(std::move(entry));
+}
+
 ProtocolRegistry::ProtocolRegistry() : RegistryBase("protocol") {
-    // Algorithm 3 (the paper), w.h.p. fixed-phase and Las Vegas modes.
-    const auto alg3_nodes = [](const Scenario& s, const std::vector<Bit>& inputs,
-                               const SeedTree& seeds, core::AgreementMode mode) {
-        ProtocolBundle b;
-        const auto params = core::AgreementParams::compute(s.n, s.t, s.tuning);
-        b.nodes = core::make_algorithm3_nodes(params, mode, inputs, seeds);
-        b.phases = params.phases;
-        b.schedule = params.schedule;
-        b.default_max_rounds = mode == core::AgreementMode::LasVegas
-                                   ? 32 * core::max_rounds_whp(params) + 256
-                                   : core::max_rounds_whp(params);
-        return b;
-    };
-    const auto alg3_reinit = [](const Scenario& s, const std::vector<Bit>& inputs,
-                                const SeedTree& seeds, core::AgreementMode mode,
-                                ProtocolBundle& b) {
-        const auto params = core::AgreementParams::compute(s.n, s.t, s.tuning);
-        core::reinit_algorithm3_nodes(params, mode, inputs, seeds, b.nodes);
-    };
-    const auto alg3_schedule = [](const Scenario& s) {
-        return core::AgreementParams::compute(s.n, s.t, s.tuning).schedule;
-    };
-    const auto alg3_batch = [](const Scenario& s, const std::vector<Bit>& inputs,
-                               const SeedTree& seeds, core::AgreementMode mode) {
-        ProtocolBundle b;
-        const auto params = core::AgreementParams::compute(s.n, s.t, s.tuning);
-        b.batch = core::make_algorithm3_batch(params, mode, inputs, seeds);
-        b.phases = params.phases;
-        b.schedule = params.schedule;
-        b.default_max_rounds = mode == core::AgreementMode::LasVegas
-                                   ? 32 * core::max_rounds_whp(params) + 256
-                                   : core::max_rounds_whp(params);
-        return b;
-    };
-    const auto alg3_batch_reinit = [](const Scenario& s, const std::vector<Bit>& inputs,
-                                      const SeedTree& seeds, core::AgreementMode mode,
-                                      ProtocolBundle& b) {
-        const auto params = core::AgreementParams::compute(s.n, s.t, s.tuning);
-        core::reinit_algorithm3_batch(params, mode, inputs, seeds, *b.batch);
-    };
-    const auto alg3_fused =
-        [](const Scenario& s,
-           core::AgreementMode mode) -> std::unique_ptr<net::FusedProtocol> {
-        const auto params = core::AgreementParams::compute(s.n, s.t, s.tuning);
-        return std::make_unique<core::FusedSkeleton>(
-            core::SkeletonConfig{s.n, s.t, params.phases, mode},
-            core::FusedCoinSpec{core::FusedCoinSpec::Kind::Committee, params.schedule,
-                                nullptr});
-    };
+    add(declare({.kind = ProtocolKind::Ours,
+                 .name = "ours",
+                 .display = "ours(alg3)",
+                 .aliases = {"alg3", "ours(alg3)", "dufoulon-pandurangan"},
+                 .summary = "Algorithm 3, w.h.p. fixed phases (Theorem 2)",
+                 .resilience = "t < n/3",
+                 .supports = third_resilient,
+                 .strongest = AdversaryKind::WorstCase},
+                algorithm3<AgreementMode::WhpFixedPhases>()));
+    add(declare({.kind = ProtocolKind::OursLasVegas,
+                 .name = "ours-las-vegas",
+                 .display = "ours(las-vegas)",
+                 .aliases = {"ours(las-vegas)", "las-vegas", "alg3-lv"},
+                 .summary = "Algorithm 3, Las Vegas variant (paper §3.2)",
+                 .resilience = "t < n/3",
+                 .supports = third_resilient,
+                 .strongest = AdversaryKind::WorstCase},
+                algorithm3<AgreementMode::LasVegas>()));
+    add(declare({.kind = ProtocolKind::ChorCoanRushing,
+                 .name = "chor-coan-rushing",
+                 .display = "chor-coan(rushing)",
+                 .aliases = {"chor-coan(rushing)", "cc-rushing"},
+                 .summary = "rushing-hardened Chor-Coan (footnote-3 comparator)",
+                 .resilience = "t < n/3",
+                 .supports = third_resilient,
+                 .strongest = AdversaryKind::WorstCase},
+                chor_coan<&base::ChorCoanParams::compute_rushing>()));
+    add(declare({.kind = ProtocolKind::ChorCoanClassic,
+                 .name = "chor-coan-classic",
+                 .display = "chor-coan(classic)",
+                 .aliases = {"chor-coan(classic)", "cc-classic", "chor-coan"},
+                 .summary = "historic Chor-Coan 1985, Θ(log n)-size groups",
+                 .resilience = "t < n/3",
+                 .supports = third_resilient,
+                 .strongest = AdversaryKind::WorstCase},
+                chor_coan<&base::ChorCoanParams::compute_classic>()));
+    add(declare({.kind = ProtocolKind::RabinDealer,
+                 .name = "rabin-dealer",
+                 .display = "rabin(dealer)",
+                 .aliases = {"rabin(dealer)", "rabin"},
+                 .summary = "Rabin 1983, trusted-dealer shared coin (ideal reference)",
+                 .resilience = "t < n/3",
+                 .supports = third_resilient,
+                 .strongest = AdversaryKind::SplitVote},
+                rabin_dealer()));
+    add(declare({.kind = ProtocolKind::LocalCoin,
+                 .name = "local-coin",
+                 .display = "local-coin",
+                 .aliases = {},
+                 .summary = "skeleton with private coins (ablation; exponential rounds)",
+                 .resilience = "t < n/3",
+                 .supports = third_resilient,
+                 .strongest = AdversaryKind::SplitVote},
+                local_coin()));
+    add(declare({.kind = ProtocolKind::BenOr,
+                 .name = "ben-or",
+                 .display = "ben-or(1983)",
+                 .aliases = {"ben-or(1983)", "benor"},
+                 .summary = "Ben-Or 1983 proper, private coins",
+                 .resilience = "t < n/5",
+                 .supports = [](NodeId n, Count t) { return 5 * std::uint64_t{t} < n; },
+                 .strongest = AdversaryKind::SplitVote},
+                ben_or()));
+    add(declare({.kind = ProtocolKind::PhaseKing,
+                 .name = "phase-king",
+                 .display = "phase-king",
+                 .aliases = {"phaseking", "king"},
+                 .summary = "deterministic 2(t+1)-round baseline",
+                 .resilience = "t < n/4",
+                 .supports = [](NodeId n, Count t) { return 4 * std::uint64_t{t} < n; },
+                 .strongest = AdversaryKind::KingKiller},
+                phase_king()));
+    add(declare({.kind = ProtocolKind::SamplingMajority,
+                 .name = "sampling-majority",
+                 .display = "sampling-majority",
+                 .aliases = {"sampling", "apr"},
+                 .summary = "APR 2013 sampling-majority drift protocol (paper §1.3)",
+                 .resilience = "t < n/3, n >= 2",
+                 .supports = [](NodeId n, Count t) { return n >= 2 && third_resilient(n, t); },
+                 .strongest = AdversaryKind::Balancer},
+                sampling_majority()));
+}
 
-    add({ProtocolKind::Ours,
-         "ours",
-         "ours(alg3)",
-         {"alg3", "ours(alg3)", "dufoulon-pandurangan"},
-         "Algorithm 3, w.h.p. fixed phases (Theorem 2)",
-         "t < n/3",
-         third_resilient,
-         AdversaryKind::WorstCase,
-         [alg3_nodes](const Scenario& s, const std::vector<Bit>& in, const SeedTree& sd) {
-             return alg3_nodes(s, in, sd, core::AgreementMode::WhpFixedPhases);
-         },
-         [alg3_reinit](const Scenario& s, const std::vector<Bit>& in,
-                       const SeedTree& sd, ProtocolBundle& b) {
-             alg3_reinit(s, in, sd, core::AgreementMode::WhpFixedPhases, b);
-         },
-         alg3_schedule,
-         [](const Scenario& s) {
-             const auto p = core::AgreementParams::compute(s.n, s.t, s.tuning);
-             return BudgetHint{p.phases, core::max_rounds_whp(p)};
-         },
-         [alg3_batch](const Scenario& s, const std::vector<Bit>& in, const SeedTree& sd) {
-             return alg3_batch(s, in, sd, core::AgreementMode::WhpFixedPhases);
-         },
-         [alg3_batch_reinit](const Scenario& s, const std::vector<Bit>& in,
-                             const SeedTree& sd, ProtocolBundle& b) {
-             alg3_batch_reinit(s, in, sd, core::AgreementMode::WhpFixedPhases, b);
-         },
-         /*supports_sparse=*/true,
-         [alg3_fused](const Scenario& s) {
-             return alg3_fused(s, core::AgreementMode::WhpFixedPhases);
-         }});
-
-    add({ProtocolKind::OursLasVegas,
-         "ours-las-vegas",
-         "ours(las-vegas)",
-         {"ours(las-vegas)", "las-vegas", "alg3-lv"},
-         "Algorithm 3, Las Vegas variant (paper §3.2)",
-         "t < n/3",
-         third_resilient,
-         AdversaryKind::WorstCase,
-         [alg3_nodes](const Scenario& s, const std::vector<Bit>& in, const SeedTree& sd) {
-             return alg3_nodes(s, in, sd, core::AgreementMode::LasVegas);
-         },
-         [alg3_reinit](const Scenario& s, const std::vector<Bit>& in,
-                       const SeedTree& sd, ProtocolBundle& b) {
-             alg3_reinit(s, in, sd, core::AgreementMode::LasVegas, b);
-         },
-         alg3_schedule,
-         [](const Scenario& s) {
-             const auto p = core::AgreementParams::compute(s.n, s.t, s.tuning);
-             return BudgetHint{p.phases, 32 * core::max_rounds_whp(p) + 256};
-         },
-         [alg3_batch](const Scenario& s, const std::vector<Bit>& in, const SeedTree& sd) {
-             return alg3_batch(s, in, sd, core::AgreementMode::LasVegas);
-         },
-         [alg3_batch_reinit](const Scenario& s, const std::vector<Bit>& in,
-                             const SeedTree& sd, ProtocolBundle& b) {
-             alg3_batch_reinit(s, in, sd, core::AgreementMode::LasVegas, b);
-         },
-         /*supports_sparse=*/true,
-         [alg3_fused](const Scenario& s) {
-             return alg3_fused(s, core::AgreementMode::LasVegas);
-         }});
-
-    const auto chor_coan_nodes = [](const Scenario& s, const std::vector<Bit>& inputs,
-                                    const SeedTree& seeds, bool rushing) {
-        ProtocolBundle b;
-        const auto params = rushing
-                                ? base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning)
-                                : base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning);
-        b.nodes = base::make_chor_coan_nodes(params, core::AgreementMode::WhpFixedPhases,
-                                             inputs, seeds);
-        b.phases = params.phases;
-        b.schedule = params.schedule;
-        b.default_max_rounds = base::max_rounds_whp(params);
-        return b;
-    };
-    const auto chor_coan_reinit = [](const Scenario& s, const std::vector<Bit>& inputs,
-                                     const SeedTree& seeds, bool rushing,
-                                     ProtocolBundle& b) {
-        const auto params = rushing
-                                ? base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning)
-                                : base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning);
-        base::reinit_chor_coan_nodes(params, core::AgreementMode::WhpFixedPhases,
-                                     inputs, seeds, b.nodes);
-    };
-    const auto chor_coan_batch = [](const Scenario& s, const std::vector<Bit>& inputs,
-                                    const SeedTree& seeds, bool rushing) {
-        ProtocolBundle b;
-        const auto params = rushing
-                                ? base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning)
-                                : base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning);
-        b.batch = base::make_chor_coan_batch(params, core::AgreementMode::WhpFixedPhases,
-                                             inputs, seeds);
-        b.phases = params.phases;
-        b.schedule = params.schedule;
-        b.default_max_rounds = base::max_rounds_whp(params);
-        return b;
-    };
-    const auto chor_coan_batch_reinit = [](const Scenario& s,
-                                           const std::vector<Bit>& inputs,
-                                           const SeedTree& seeds, bool rushing,
-                                           ProtocolBundle& b) {
-        const auto params = rushing
-                                ? base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning)
-                                : base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning);
-        base::reinit_chor_coan_batch(params, core::AgreementMode::WhpFixedPhases,
-                                     inputs, seeds, *b.batch);
-    };
-    const auto chor_coan_fused =
-        [](const Scenario& s, bool rushing) -> std::unique_ptr<net::FusedProtocol> {
-        const auto params = rushing
-                                ? base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning)
-                                : base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning);
-        return std::make_unique<core::FusedSkeleton>(
-            core::SkeletonConfig{s.n, s.t, params.phases,
-                                 core::AgreementMode::WhpFixedPhases},
-            core::FusedCoinSpec{core::FusedCoinSpec::Kind::Committee, params.schedule,
-                                nullptr});
-    };
-
-    add({ProtocolKind::ChorCoanRushing,
-         "chor-coan-rushing",
-         "chor-coan(rushing)",
-         {"chor-coan(rushing)", "cc-rushing"},
-         "rushing-hardened Chor-Coan (footnote-3 comparator)",
-         "t < n/3",
-         third_resilient,
-         AdversaryKind::WorstCase,
-         [chor_coan_nodes](const Scenario& s, const std::vector<Bit>& in,
-                           const SeedTree& sd) { return chor_coan_nodes(s, in, sd, true); },
-         [chor_coan_reinit](const Scenario& s, const std::vector<Bit>& in,
-                            const SeedTree& sd, ProtocolBundle& b) {
-             chor_coan_reinit(s, in, sd, true, b);
-         },
-         [](const Scenario& s) {
-             return base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning).schedule;
-         },
-         [](const Scenario& s) {
-             const auto p = base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning);
-             return BudgetHint{p.phases, base::max_rounds_whp(p)};
-         },
-         [chor_coan_batch](const Scenario& s, const std::vector<Bit>& in,
-                           const SeedTree& sd) { return chor_coan_batch(s, in, sd, true); },
-         [chor_coan_batch_reinit](const Scenario& s, const std::vector<Bit>& in,
-                                  const SeedTree& sd, ProtocolBundle& b) {
-             chor_coan_batch_reinit(s, in, sd, true, b);
-         },
-         /*supports_sparse=*/true,
-         [chor_coan_fused](const Scenario& s) { return chor_coan_fused(s, true); }});
-
-    add({ProtocolKind::ChorCoanClassic,
-         "chor-coan-classic",
-         "chor-coan(classic)",
-         {"chor-coan(classic)", "cc-classic", "chor-coan"},
-         "historic Chor-Coan 1985, Θ(log n)-size groups",
-         "t < n/3",
-         third_resilient,
-         AdversaryKind::WorstCase,
-         [chor_coan_nodes](const Scenario& s, const std::vector<Bit>& in,
-                           const SeedTree& sd) { return chor_coan_nodes(s, in, sd, false); },
-         [chor_coan_reinit](const Scenario& s, const std::vector<Bit>& in,
-                            const SeedTree& sd, ProtocolBundle& b) {
-             chor_coan_reinit(s, in, sd, false, b);
-         },
-         [](const Scenario& s) {
-             return base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning).schedule;
-         },
-         [](const Scenario& s) {
-             const auto p = base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning);
-             return BudgetHint{p.phases, base::max_rounds_whp(p)};
-         },
-         [chor_coan_batch](const Scenario& s, const std::vector<Bit>& in,
-                           const SeedTree& sd) { return chor_coan_batch(s, in, sd, false); },
-         [chor_coan_batch_reinit](const Scenario& s, const std::vector<Bit>& in,
-                                  const SeedTree& sd, ProtocolBundle& b) {
-             chor_coan_batch_reinit(s, in, sd, false, b);
-         },
-         /*supports_sparse=*/true,
-         [chor_coan_fused](const Scenario& s) { return chor_coan_fused(s, false); }});
-
-    add({ProtocolKind::RabinDealer,
-         "rabin-dealer",
-         "rabin(dealer)",
-         {"rabin(dealer)", "rabin"},
-         "Rabin 1983, trusted-dealer shared coin (ideal reference)",
-         "t < n/3",
-         third_resilient,
-         AdversaryKind::SplitVote,
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const auto params = base::RabinDealerParams::compute(
-                 s.n, s.t, seeds.seed(StreamPurpose::DealerCoin), s.tuning.gamma);
-             b.nodes = base::make_rabin_dealer_nodes(
-                 params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
-             b.phases = params.phases;
-             b.default_max_rounds = base::max_rounds_whp(params);
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             // The dealer seed is per-trial; recompute params with it.
-             const auto params = base::RabinDealerParams::compute(
-                 s.n, s.t, seeds.seed(StreamPurpose::DealerCoin), s.tuning.gamma);
-             base::reinit_rabin_dealer_nodes(params, core::AgreementMode::WhpFixedPhases,
-                                             inputs, seeds, b.nodes);
-         },
-         nullptr,
-         [](const Scenario& s) {
-             const auto p = base::RabinDealerParams::compute(s.n, s.t, 0, s.tuning.gamma);
-             return BudgetHint{p.phases, base::max_rounds_whp(p)};
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const auto params = base::RabinDealerParams::compute(
-                 s.n, s.t, seeds.seed(StreamPurpose::DealerCoin), s.tuning.gamma);
-             b.batch = base::make_rabin_dealer_batch(
-                 params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
-             b.phases = params.phases;
-             b.default_max_rounds = base::max_rounds_whp(params);
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             // The dealer seed is per-trial; recompute params with it.
-             const auto params = base::RabinDealerParams::compute(
-                 s.n, s.t, seeds.seed(StreamPurpose::DealerCoin), s.tuning.gamma);
-             base::reinit_rabin_dealer_batch(params, core::AgreementMode::WhpFixedPhases,
-                                             inputs, seeds, *b.batch);
-         },
-         /*supports_sparse=*/true,
-         // Per-lane dealer seeds come from each lane's DealerCoin stream at
-         // rearm time (skeleton_fused.cpp), so the phase budget — which is
-         // dealer-seed-independent — is the only params field used here.
-         [](const Scenario& s) -> std::unique_ptr<net::FusedProtocol> {
-             const auto p = base::RabinDealerParams::compute(s.n, s.t, 0, s.tuning.gamma);
-             return std::make_unique<core::FusedSkeleton>(
-                 core::SkeletonConfig{s.n, s.t, p.phases,
-                                      core::AgreementMode::WhpFixedPhases},
-                 core::FusedCoinSpec{core::FusedCoinSpec::Kind::Dealer,
-                                     {},
-                                     &base::RabinDealerNode::dealer_coin});
-         }});
-
-    add({ProtocolKind::LocalCoin,
-         "local-coin",
-         "local-coin",
-         {},
-         "skeleton with private coins (ablation; exponential rounds)",
-         "t < n/3",
-         third_resilient,
-         AdversaryKind::SplitVote,
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const base::LocalCoinParams params{s.n, s.t, s.local_coin_phases};
-             b.nodes = base::make_local_coin_nodes(
-                 params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
-             b.phases = params.phases;
-             b.default_max_rounds = 2 * (params.phases + 2);
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             const base::LocalCoinParams params{s.n, s.t, s.local_coin_phases};
-             base::reinit_local_coin_nodes(params, core::AgreementMode::WhpFixedPhases,
-                                           inputs, seeds, b.nodes);
-         },
-         nullptr,
-         [](const Scenario& s) {
-             return BudgetHint{s.local_coin_phases,
-                               static_cast<Round>(2 * (s.local_coin_phases + 2))};
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const base::LocalCoinParams params{s.n, s.t, s.local_coin_phases};
-             b.batch = base::make_local_coin_batch(
-                 params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
-             b.phases = params.phases;
-             b.default_max_rounds = 2 * (params.phases + 2);
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             const base::LocalCoinParams params{s.n, s.t, s.local_coin_phases};
-             base::reinit_local_coin_batch(params, core::AgreementMode::WhpFixedPhases,
-                                           inputs, seeds, *b.batch);
-         },
-         /*supports_sparse=*/true,
-         [](const Scenario& s) -> std::unique_ptr<net::FusedProtocol> {
-             return std::make_unique<core::FusedSkeleton>(
-                 core::SkeletonConfig{s.n, s.t, s.local_coin_phases,
-                                      core::AgreementMode::WhpFixedPhases},
-                 core::FusedCoinSpec{core::FusedCoinSpec::Kind::Local, {}, nullptr});
-         }});
-
-    add({ProtocolKind::BenOr,
-         "ben-or",
-         "ben-or(1983)",
-         {"ben-or(1983)", "benor"},
-         "Ben-Or 1983 proper, private coins",
-         "t < n/5",
-         [](NodeId n, Count t) { return 5 * static_cast<std::uint64_t>(t) < n; },
-         AdversaryKind::SplitVote,
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const base::BenOrParams params{s.n, s.t, s.local_coin_phases};
-             b.nodes = base::make_ben_or_nodes(params, inputs, seeds);
-             b.phases = params.phases;
-             b.default_max_rounds = 2 * (params.phases + 2);
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             const base::BenOrParams params{s.n, s.t, s.local_coin_phases};
-             base::reinit_ben_or_nodes(params, inputs, seeds, b.nodes);
-         },
-         nullptr,
-         [](const Scenario& s) {
-             return BudgetHint{s.local_coin_phases,
-                               static_cast<Round>(2 * (s.local_coin_phases + 2))};
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const base::BenOrParams params{s.n, s.t, s.local_coin_phases};
-             b.batch = base::make_ben_or_batch(params, inputs, seeds);
-             b.phases = params.phases;
-             b.default_max_rounds = 2 * (params.phases + 2);
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             const base::BenOrParams params{s.n, s.t, s.local_coin_phases};
-             base::reinit_ben_or_batch(params, inputs, seeds, *b.batch);
-         },
-         /*supports_sparse=*/true,
-         [](const Scenario& s) -> std::unique_ptr<net::FusedProtocol> {
-             return std::make_unique<base::FusedBenOr>(
-                 base::BenOrParams{s.n, s.t, s.local_coin_phases});
-         }});
-
-    add({ProtocolKind::PhaseKing,
-         "phase-king",
-         "phase-king",
-         {"phaseking", "king"},
-         "deterministic 2(t+1)-round baseline",
-         "t < n/4",
-         [](NodeId n, Count t) { return 4 * static_cast<std::uint64_t>(t) < n; },
-         AdversaryKind::KingKiller,
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree&) {
-             ProtocolBundle b;
-             const base::PhaseKingParams params{s.n, s.t};
-             b.nodes = base::make_phase_king_nodes(params, inputs);
-             b.phases = params.phases();
-             b.default_max_rounds = params.total_rounds() + 2;
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree&,
-            ProtocolBundle& b) {
-             base::reinit_phase_king_nodes(base::PhaseKingParams{s.n, s.t}, inputs,
-                                           b.nodes);
-         },
-         nullptr,
-         [](const Scenario& s) {
-             const base::PhaseKingParams p{s.n, s.t};
-             return BudgetHint{p.phases(), static_cast<Round>(p.total_rounds() + 2)};
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree&) {
-             ProtocolBundle b;
-             const base::PhaseKingParams params{s.n, s.t};
-             b.batch = base::make_phase_king_batch(params, inputs);
-             b.phases = params.phases();
-             b.default_max_rounds = params.total_rounds() + 2;
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree&,
-            ProtocolBundle& b) {
-             base::reinit_phase_king_batch(base::PhaseKingParams{s.n, s.t}, inputs,
-                                           *b.batch);
-         },
-         /*supports_sparse=*/true,
-         [](const Scenario& s) -> std::unique_ptr<net::FusedProtocol> {
-             return std::make_unique<base::FusedPhaseKing>(
-                 base::PhaseKingParams{s.n, s.t});
-         }});
-
-    add({ProtocolKind::SamplingMajority,
-         "sampling-majority",
-         "sampling-majority",
-         {"sampling", "apr"},
-         "APR 2013 sampling-majority drift protocol (paper §1.3)",
-         "t < n/3, n >= 2",
-         [](NodeId n, Count t) { return n >= 2 && third_resilient(n, t); },
-         AdversaryKind::Balancer,
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const auto params =
-                 base::SamplingMajorityParams::compute(s.n, s.t, s.sampling_kappa);
-             b.nodes = base::make_sampling_majority_nodes(params, inputs, seeds);
-             b.phases = params.rounds;
-             b.default_max_rounds = params.rounds + 1;
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             const auto params =
-                 base::SamplingMajorityParams::compute(s.n, s.t, s.sampling_kappa);
-             base::reinit_sampling_majority_nodes(params, inputs, seeds, b.nodes);
-         },
-         nullptr,
-         [](const Scenario& s) {
-             const auto p = base::SamplingMajorityParams::compute(s.n, s.t, s.sampling_kappa);
-             return BudgetHint{p.rounds, static_cast<Round>(p.rounds + 1)};
-         },
-         // No native batch: sampling-majority's receive is per-receiver
-         // randomized (two random senders per node), so batching would only
-         // save the dispatch; it rides the PerNodeBatch adapter.
-         nullptr,
-         nullptr});
+ProtocolBundle bundle_metadata(const ProtocolEntry& p, const Scenario& s) {
+    return unarmed_bundle(p.budgets(s),
+                          p.schedule_of ? std::optional(p.schedule_of(s)) : std::nullopt);
 }
 
 // --------------------------------------------------------- built-in adversaries
@@ -912,8 +753,7 @@ MvScenarioPlan validate(const MvScenario& s) {
     const auto mode = s.las_vegas ? core::AgreementMode::LasVegas
                                   : core::AgreementMode::WhpFixedPhases;
     plan.params = core::MultiValuedParams::compute(s.n, s.t, s.tuning, s.fallback, mode);
-    plan.cap = s.las_vegas ? 32 * core::max_rounds_whp(plan.params) + 256
-                           : core::max_rounds_whp(plan.params);
+    plan.cap = core::round_cap(core::max_rounds_whp(plan.params), mode);
     plan.adversary = &MvAdversaryRegistry::instance().at(s.adversary);
     return plan;
 }

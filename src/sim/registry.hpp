@@ -9,13 +9,20 @@
 // combination is ONE registration call in one translation unit instead of a
 // new enum value threaded through four switch statements.
 //
-// The built-in entries are registered by the registry constructors in
-// registry.cpp (linker-safe for a static library). A plug-in translation
-// unit extends the system with
+// The built-in protocols are declared in registry.cpp, one declaration each:
+// a params function that reads only the scenario, the budget and optional
+// committee schedule read from those params, and one arm function per form
+// (per-node pool, native batch, fused). A template derives the ProtocolEntry
+// fields below from it, so every form carries the same phases, round cap
+// and schedule. The registry constructors run at first use (linker-safe for
+// a static library). A plug-in translation unit extends the system with
 //
-//     static const auto& my_proto = adba::sim::ProtocolRegistry::instance().add({...});
+//     static const auto& my_proto = adba::sim::ProtocolRegistry::instance().add({
+//         .kind = ..., .name = "my-proto", ..., .supports = ...,
+//         .make_nodes = ..., .reinit_nodes = ..., .budgets = ...});
 //
-// provided the object file is linked into the binary.
+// provided the object file is linked into the binary. add() rejects an
+// entry that breaks the form contract documented on ProtocolEntry.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +42,8 @@ namespace adba::sim {
 
 /// What a protocol factory hands the engine: the node set (per-node form)
 /// OR the native batch plane (batch form), plus the budgets and (optional)
-/// committee schedule the adversary factories consume. Exactly one of
-/// `nodes`/`batch` is populated, depending on which factory built it.
+/// committee schedule the adversary factories consume. At most one of
+/// `nodes`/`batch` is populated: the form its factory or arm built.
 struct ProtocolBundle {
     std::vector<std::unique_ptr<net::HonestNode>> nodes;
     std::unique_ptr<net::BatchProtocol> batch;
@@ -53,6 +60,8 @@ struct BudgetHint {
 };
 
 /// Capability descriptor + factory for one agreement protocol.
+/// Every hook defaults to null, so a designated initializer names only the
+/// forms a protocol has.
 struct ProtocolEntry {
     ProtocolKind kind{};
     std::string name;     ///< canonical CLI key, e.g. "chor-coan-rushing"
@@ -67,26 +76,26 @@ struct ProtocolEntry {
     /// The strongest implemented attack against this protocol.
     AdversaryKind strongest = AdversaryKind::None;
 
-    /// Builds the node set for one trial.
+    /// Builds the node set for one trial, with the bundle metadata.
+    /// Required, together with reinit_nodes.
     std::function<ProtocolBundle(const Scenario&, const std::vector<Bit>&,
                                  const SeedTree&)>
-        make_nodes;
+        make_nodes{};
 
-    /// Trial-reuse fast path: re-arms `bundle.nodes` (produced by an earlier
-    /// make_nodes for the SAME scenario) for a new trial's inputs/seeds with
-    /// zero allocation. Null = no pooling; the runner falls back to
-    /// make_nodes each trial. Bundle metadata (phases, schedule, round
-    /// budget) is scenario-only and stays valid across trials.
+    /// Trial-reuse fast path: arms `bundle.nodes` for a new trial's
+    /// inputs/seeds — re-armed in place with zero allocation when an earlier
+    /// call for the SAME scenario filled it, built when it is empty. Leaves
+    /// the bundle metadata (scenario-only) alone.
     std::function<void(const Scenario&, const std::vector<Bit>&, const SeedTree&,
                        ProtocolBundle&)>
-        reinit_nodes;
+        reinit_nodes{};
 
     /// Committee schedule hook; null for protocols without one (their
     /// scenarios are incompatible with schedule-aware adversaries).
-    std::function<core::BlockSchedule(const Scenario&)> schedule_of;
+    std::function<core::BlockSchedule(const Scenario&)> schedule_of{};
 
-    /// Default phase/round budgets at the scenario's parameters.
-    std::function<BudgetHint(const Scenario&)> budgets;
+    /// Default phase/round budgets at the scenario's parameters. Required.
+    std::function<BudgetHint(const Scenario&)> budgets{};
 
     /// Native SoA batch factory: fills a bundle whose `batch` steps the
     /// whole population under one dispatch per beat (bit-identical to
@@ -94,18 +103,18 @@ struct ProtocolEntry {
     /// suite). Null = no native batch; runners fall back to per-node.
     std::function<ProtocolBundle(const Scenario&, const std::vector<Bit>&,
                                  const SeedTree&)>
-        make_batch;
+        make_batch{};
 
     /// Trial-reuse fast path for the batch form (same contract as
-    /// reinit_nodes, re-arming `bundle.batch` in place).
+    /// reinit_nodes, arming `bundle.batch`). Set exactly when make_batch is.
     std::function<void(const Scenario&, const std::vector<Bit>&, const SeedTree&,
                        ProtocolBundle&)>
-        reinit_batch;
+        reinit_batch{};
 
     /// The native batch answers its receive beat from sampled per-receiver
     /// counts (net/sparse_plane.hpp; scenario key `plane=sparse`). Mirrors
     /// BatchProtocol::supports_sparse for capability listings and the
-    /// feasibility rules; implies make_batch != nullptr.
+    /// feasibility rules; requires make_batch.
     bool supports_sparse = false;
 
     /// Word-parallel fused-plane factory (net/fused_plane.hpp; scenario key
@@ -115,7 +124,7 @@ struct ProtocolEntry {
     /// scenarios are rejected by why_incompatible). Lane j of a fused block
     /// is bit-identical to the scalar trial at lane j's index — the scalar
     /// path stays the oracle, as with `batch=` / `simd=` / `plane=`.
-    std::function<std::unique_ptr<net::FusedProtocol>(const Scenario&)> make_fused;
+    std::function<std::unique_ptr<net::FusedProtocol>(const Scenario&)> make_fused{};
 };
 
 /// Capability descriptor + factory for one adversary strategy.
@@ -199,6 +208,12 @@ class ProtocolRegistry : public detail::RegistryBase<ProtocolEntry, ProtocolKind
 public:
     static ProtocolRegistry& instance();
 
+    /// Registers an entry after checking its form contract: `supports`,
+    /// `budgets` and the per-node pair are set, make_batch comes with
+    /// reinit_batch, and supports_sparse implies a batch form. Throws
+    /// ContractViolation, leaving the registry unchanged, otherwise.
+    const ProtocolEntry& add(ProtocolEntry entry);
+
 private:
     ProtocolRegistry();  ///< registers the built-in protocols
 };
@@ -238,6 +253,12 @@ struct MvScenarioPlan {
     Round cap = 0;
     const MvAdversaryEntry* adversary = nullptr;
 };
+
+/// A bundle for scenario `s` with no form armed yet: phases and round cap
+/// from `p.budgets`, the schedule from `p.schedule_of`. The binary arena
+/// arms its forms into it (reinit_nodes / reinit_batch), and its fused path
+/// hands it to the adversary factories.
+ProtocolBundle bundle_metadata(const ProtocolEntry& p, const Scenario& s);
 
 /// THE feasibility/compatibility rule set — the one place the repository
 /// states them. Returns an actionable message when the scenario cannot run:

@@ -21,7 +21,7 @@
 // pooled per-chunk arenas, in-order merge) lives in the workload-generic
 // kernel (sim/workload.hpp); this file defines only the BinaryWorkload
 // binding: the arena that re-arms one engine + one node set + one input
-// buffer per trial (ProtocolEntry::reinit_nodes + Engine::reset), so a warm
+// buffer per trial (ProtocolEntry::reinit_* + Engine::reset), so a warm
 // trial performs no allocation beyond what the adversary strategy needs.
 
 namespace adba::sim {
@@ -37,7 +37,8 @@ std::optional<core::BlockSchedule> schedule_of(const Scenario& s) {
 /// thread-invariance tests double as the canary for stale pool state.
 class BinaryWorkload::Arena {
 public:
-    explicit Arena(const ScenarioPlan& plan) : plan_(plan) {
+    explicit Arena(const ScenarioPlan& plan)
+        : plan_(plan), bundle_(bundle_metadata(*plan.protocol, plan.scenario)) {
         ADBA_EXPECTS(plan_.scenario.n > 0);
     }
 
@@ -49,23 +50,12 @@ public:
         // Native batch plane when the scenario wants it and the protocol
         // ships one; otherwise the per-node path (wrapped in the engine's
         // pooled PerNodeBatch adapter). Both are bit-identical by contract.
+        // The first trial builds the form, later trials re-arm it in place.
         const bool batched = s.use_batch && plan_.protocol->make_batch != nullptr;
-        if (!have_bundle_) {
-            bundle_ = batched ? plan_.protocol->make_batch(s, inputs_, seeds)
-                              : plan_.protocol->make_nodes(s, inputs_, seeds);
-            have_bundle_ = true;
-        } else if (batched) {
-            if (plan_.protocol->reinit_batch) {
-                plan_.protocol->reinit_batch(s, inputs_, seeds, bundle_);
-            } else {
-                bundle_.batch = plan_.protocol->make_batch(s, inputs_, seeds).batch;
-            }
-        } else if (plan_.protocol->reinit_nodes) {
+        if (batched)
+            plan_.protocol->reinit_batch(s, inputs_, seeds, bundle_);
+        else
             plan_.protocol->reinit_nodes(s, inputs_, seeds, bundle_);
-        } else {
-            // No pooling support: rebuild the node set, keep the metadata.
-            bundle_.nodes = plan_.protocol->make_nodes(s, inputs_, seeds).nodes;
-        }
         auto adversary = plan_.adversary->make_adversary(s, bundle_, seeds);
 
         net::EngineConfig cfg;
@@ -153,14 +143,7 @@ public:
     void run_fused(const std::uint64_t* trial_seeds, TrialResult* out) {
         const Scenario& s = plan_.scenario;
         const NodeId n = s.n;
-        if (!fused_proto_) {
-            fused_proto_ = plan_.protocol->make_fused(s);
-            const BudgetHint hint = plan_.protocol->budgets(s);
-            fused_meta_.phases = hint.phases;
-            fused_meta_.default_max_rounds = hint.max_rounds;
-            if (plan_.protocol->schedule_of)
-                fused_meta_.schedule = plan_.protocol->schedule_of(s);
-        }
+        if (!fused_proto_) fused_proto_ = plan_.protocol->make_fused(s);
 
         lane_seeds_.clear();
         lane_seeds_.reserve(net::kFusedLanes);
@@ -175,14 +158,14 @@ public:
             if (unanimous(inputs_)) unan |= std::uint64_t{1} << j;
             front |= std::uint64_t{inputs_.front() & 1u} << j;
             fused_advs_[j] =
-                plan_.adversary->make_adversary(s, fused_meta_, lane_seeds_.back());
+                plan_.adversary->make_adversary(s, bundle_, lane_seeds_.back());
             advs[j] = fused_advs_[j].get();
         }
         fused_proto_->rearm(fused_inputs_.data(), lane_seeds_.data());
 
         const Round max_rounds = s.max_rounds_override
                                      ? s.max_rounds_override
-                                     : fused_meta_.default_max_rounds;
+                                     : bundle_.default_max_rounds;
         net::FusedLaneResult lanes[net::kFusedLanes];
         fused_block_.run(*fused_proto_, advs, s.t, max_rounds, lanes);
 
@@ -212,7 +195,7 @@ public:
             res.rounds = lanes[j].rounds;
             res.outcome = lanes[j].outcome;
             res.metrics = lanes[j].metrics;
-            res.phases_configured = fused_meta_.phases;
+            res.phases_configured = bundle_.phases;
             fused_advs_[j].reset();
         }
     }
@@ -220,17 +203,15 @@ public:
 private:
     const ScenarioPlan& plan_;
     std::vector<Bit> inputs_;
-    ProtocolBundle bundle_;
-    bool have_bundle_ = false;
+    ProtocolBundle bundle_;  ///< metadata from construction, forms armed per trial
     std::optional<net::Engine> engine_;
     std::unique_ptr<ShardPool> shard_pool_;  ///< persists across trials
     unsigned shard_count_ = 0;
     // Fused-plane state (fused=true scenarios only): the 64-lane protocol is
-    // built once per arena and re-armed per block; the metadata bundle only
-    // carries phases/schedule/round budget for the adversary factories.
+    // built once per arena and re-armed per block; its adversary factories
+    // read bundle_'s metadata, the same the scalar trials use.
     std::unique_ptr<net::FusedProtocol> fused_proto_;
     net::FusedBlock fused_block_;
-    ProtocolBundle fused_meta_;
     std::vector<std::uint64_t> fused_inputs_;
     std::vector<SeedTree> lane_seeds_;
     std::unique_ptr<net::Adversary> fused_advs_[net::kFusedLanes];

@@ -78,6 +78,14 @@ std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
     return spec::parse_int("--" + key, it->second);
 }
 
+std::uint64_t Cli::get_uint_max(const std::string& key, std::uint64_t fallback,
+                                std::uint64_t max) const {
+    queried_.insert(key);
+    const auto it = kv_.find(key);
+    if (it == kv_.end()) return fallback;
+    return spec::parse_uint("--" + key, it->second, max);
+}
+
 double Cli::get_double(const std::string& key, double fallback) const {
     queried_.insert(key);
     const auto it = kv_.find(key);

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -36,6 +37,12 @@ public:
     /// The typed getters parse strictly (support/spec.hpp: the whole value
     /// must parse) and throw ContractViolation naming the flag otherwise.
     std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+    /// A count or seed of type U: digits only and at most U's maximum, so a
+    /// negative or too-wide value fails naming the flag instead of wrapping.
+    template <typename U>
+    U get_uint(const std::string& key, U fallback) const {
+        return static_cast<U>(get_uint_max(key, fallback, std::numeric_limits<U>::max()));
+    }
     double get_double(const std::string& key, double fallback) const;
     /// true/false, yes/no, on/off or 1/0, so `--batch=on|off` style toggles
     /// work; a bare `--flag` reads true.
@@ -62,6 +69,9 @@ public:
     void check_unused() const;
 
 private:
+    std::uint64_t get_uint_max(const std::string& key, std::uint64_t fallback,
+                               std::uint64_t max) const;
+
     std::map<std::string, std::string> kv_;
     std::vector<std::string> passthrough_;
     mutable std::set<std::string> queried_;

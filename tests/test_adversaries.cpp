@@ -218,8 +218,9 @@ TEST(WorstCase, SpendsNothingAgainstUnanimousInputs) {
     const auto params = core::AgreementParams::compute(16, 5);
     const SeedTree seeds(123);
     const std::vector<Bit> inputs(16, 1);
-    auto nodes = core::make_algorithm3_nodes(
-        params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
+    net::NodePool nodes;
+    core::arm_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases, inputs, seeds,
+                               nodes);
     WorstCaseAdversary adv({5, 5, params.schedule, true});
     net::Engine eng({16, 5, core::max_rounds_whp(params), false}, std::move(nodes),
                     adv);

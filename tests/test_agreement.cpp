@@ -104,8 +104,9 @@ void run_with_lemma3_observer(NodeId n, Count t, std::uint64_t seed) {
     const SeedTree seeds(seed);
     const auto params = core::AgreementParams::compute(n, t);
     const auto inputs = make_inputs(InputPattern::Split, n, seeds);
-    auto nodes = core::make_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases,
-                                             inputs, seeds);
+    net::NodePool nodes;
+    core::arm_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases, inputs, seeds,
+                               nodes);
     adv::WorstCaseAdversary adversary({t, t, params.schedule, true});
     net::Engine engine({n, t, core::max_rounds_whp(params), false}, std::move(nodes),
                        adversary);
@@ -146,8 +147,9 @@ TEST(Lemma4, FinisherForcesTerminationWithinTwoPhases) {
         const SeedTree seeds(0x77 + seed);
         const auto params = core::AgreementParams::compute(n, t);
         const auto inputs = make_inputs(InputPattern::Random, n, seeds);
-        auto nodes = core::make_algorithm3_nodes(
-            params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
+        net::NodePool nodes;
+        core::arm_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases, inputs,
+                                   seeds, nodes);
         std::vector<const core::RabinSkeletonNode*> raw;
         for (const auto& p : nodes)
             raw.push_back(dynamic_cast<const core::RabinSkeletonNode*>(p.get()));

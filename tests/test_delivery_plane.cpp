@@ -761,10 +761,10 @@ TEST(DeliveryPlaneShared, TcPreludeRowsMatchPerPairDefault) {
                 cfg.n = s.n;
                 cfg.budget = s.t;
                 cfg.max_rounds = plan.cap;
-                runs[per_pair] =
-                    run_pinned(cfg, nullptr,
-                               core::make_turpin_coan_nodes(plan.params, inputs, seeds),
-                               *adversary, per_pair == 1);
+                net::NodePool nodes;
+                core::arm_turpin_coan_nodes(plan.params, inputs, seeds, nodes);
+                runs[per_pair] = run_pinned(cfg, nullptr, std::move(nodes), *adversary,
+                                            per_pair == 1);
             }
             expect_runs_eq(runs[0].run, runs[1].run);
             for (NodeId v = 0; v < s.n; ++v) {
@@ -936,9 +936,9 @@ TEST(PlaneView, CoinRuinMatchesPerNodeCalls) {
                 cfg.n = coin.n;
                 cfg.budget = 6;
                 cfg.max_rounds = 1;
-                return {cfg,
-                        std::make_unique<PlanedBatch>(
-                            core::make_coin_nodes(coin, SeedTree(seed))),
+                net::NodePool nodes;
+                core::arm_coin_nodes(coin, SeedTree(seed), nodes);
+                return {cfg, std::make_unique<PlanedBatch>(std::move(nodes)),
                         std::make_unique<adv::CoinRuinAdversary>(
                             adv::CoinRuinConfig{coin.designated, 6, attack, 1})};
             };
@@ -962,9 +962,9 @@ TEST(PlaneView, TcPreludeMatchesPerNodeCalls) {
             cfg.n = s.n;
             cfg.budget = s.t;
             cfg.max_rounds = plan.cap;
-            return {cfg,
-                    std::make_unique<PlanedBatch>(
-                        core::make_turpin_coan_nodes(plan.params, inputs, seeds)),
+            net::NodePool nodes;
+            core::arm_turpin_coan_nodes(plan.params, inputs, seeds, nodes);
+            return {cfg, std::make_unique<PlanedBatch>(std::move(nodes)),
                     plan.adversary->make_adversary(s, plan.params, seeds)};
         };
         EXPECT_GT(
@@ -1216,8 +1216,9 @@ TEST(AccountingOracle, WordPayloadKindsMatchPerSenderCharge) {
         cfg.budget = s.t;
         cfg.max_rounds = plan.cap;
         AccountingOracle oracle(*adversary, cfg);
-        net::Engine eng(cfg, core::make_turpin_coan_nodes(plan.params, inputs, seeds),
-                        oracle);
+        net::NodePool nodes;
+        core::arm_turpin_coan_nodes(plan.params, inputs, seeds, nodes);
+        net::Engine eng(cfg, std::move(nodes), oracle);
         const net::RunResult res = eng.run();
         EXPECT_EQ(res.metrics.honest_messages, oracle.messages);
         EXPECT_EQ(res.metrics.honest_bits, oracle.bits);

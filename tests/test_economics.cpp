@@ -28,9 +28,9 @@ struct EconomicsRun {
 EconomicsRun run_once(NodeId n, Count t, std::uint64_t seed) {
     const SeedTree seeds(seed);
     const auto params = core::AgreementParams::compute(n, t);
-    auto nodes = core::make_algorithm3_nodes(
-        params, core::AgreementMode::WhpFixedPhases,
-        make_inputs(InputPattern::Split, n, seeds), seeds);
+    net::NodePool nodes;
+    core::arm_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases,
+                               make_inputs(InputPattern::Split, n, seeds), seeds, nodes);
     adv::WorstCaseAdversary adversary({t, t, params.schedule, true});
     net::Engine eng({n, t, core::max_rounds_whp(params), false}, std::move(nodes),
                     adversary);

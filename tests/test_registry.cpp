@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "sim/faults.hpp"
+#include "sim/inputs.hpp"
 #include "sim/registry.hpp"
 #include "sim/sweep.hpp"
 #include "support/contracts.hpp"
@@ -395,6 +396,83 @@ TEST(Registry, DuplicateRegistrationThrows) {
         return std::make_unique<net::NullAdversary>();
     };
     EXPECT_THROW(AdversaryRegistry::instance().add(std::move(dup)), ContractViolation);
+}
+
+TEST(Registry, ProtocolAddEnforcesTheFormContract) {
+    // A plug-in copied from a built-in, renamed, then broken one way at a
+    // time: each is rejected before the registry changes.
+    auto& reg = ProtocolRegistry::instance();
+    const auto plugin = [&] {
+        ProtocolEntry e = reg.at(ProtocolKind::Ours);
+        e.name = "plugin-proto";
+        e.aliases.clear();
+        return e;
+    };
+    std::vector<std::pair<std::string, ProtocolEntry>> broken;
+    broken.emplace_back("sparse without batch", plugin());
+    broken.back().second.make_batch = nullptr;
+    broken.back().second.reinit_batch = nullptr;
+    broken.emplace_back("batch without re-arm", plugin());
+    broken.back().second.reinit_batch = nullptr;
+    broken.emplace_back("re-arm without batch", plugin());
+    broken.back().second.supports_sparse = false;
+    broken.back().second.make_batch = nullptr;
+    broken.emplace_back("nodes without re-arm", plugin());
+    broken.back().second.reinit_nodes = nullptr;
+    broken.emplace_back("no budgets", plugin());
+    broken.back().second.budgets = nullptr;
+    for (auto& [why, entry] : broken) {
+        const std::string msg = thrown_message([&] { reg.add(std::move(entry)); });
+        EXPECT_NE(msg.find("plugin-proto"), std::string::npos) << why << ": " << msg;
+        EXPECT_EQ(reg.find("plugin-proto"), nullptr) << why;
+        EXPECT_EQ(reg.list().size(), 9u) << why;
+    }
+}
+
+TEST(Registry, EveryFormCarriesTheDeclaredBudgetsAndSchedule) {
+    // The fused arena and the binary arena read budgets() + schedule_of();
+    // perfbench's traced arena reads the bundle make_batch returns. Both
+    // must agree for every protocol, at each one's resilience edge too.
+    const auto same_schedule = [](const std::optional<core::BlockSchedule>& a,
+                                  const std::optional<core::BlockSchedule>& b) {
+        if (a.has_value() != b.has_value()) return false;
+        return !a || (a->n == b->n && a->block == b->block && a->num_blocks == b->num_blocks);
+    };
+    for (const ProtocolEntry* p : ProtocolRegistry::instance().list()) {
+        for (const NodeId n : {NodeId{16}, NodeId{64}, NodeId{97}}) {
+            Count edge = n;
+            while (edge > 0 && !p->supports(n, edge)) --edge;
+            for (const Count t : {Count{1}, edge / 2, edge}) {
+                Scenario s;
+                s.protocol = p->kind;
+                s.n = n;
+                s.t = t;
+                const BudgetHint hint = p->budgets(s);
+                const std::optional<core::BlockSchedule> sched =
+                    p->schedule_of ? std::optional(p->schedule_of(s)) : std::nullopt;
+                const ProtocolBundle meta = bundle_metadata(*p, s);
+                EXPECT_EQ(meta.phases, hint.phases);
+                EXPECT_EQ(meta.default_max_rounds, hint.max_rounds);
+                EXPECT_TRUE(same_schedule(meta.schedule, sched));
+                for (const std::uint64_t seed : {1ull, 2ull}) {
+                    const SeedTree seeds(seed);
+                    const auto inputs = make_inputs(InputPattern::Random, n, seeds);
+                    std::vector<ProtocolBundle> bundles;
+                    bundles.push_back(p->make_nodes(s, inputs, seeds));
+                    if (p->make_batch) bundles.push_back(p->make_batch(s, inputs, seeds));
+                    for (const ProtocolBundle& b : bundles) {
+                        const std::string at = p->name + " n=" + std::to_string(n) +
+                                               " t=" + std::to_string(t) +
+                                               " seed=" + std::to_string(seed);
+                        EXPECT_EQ(b.phases, hint.phases) << at;
+                        EXPECT_EQ(b.default_max_rounds, hint.max_rounds) << at;
+                        EXPECT_TRUE(same_schedule(b.schedule, sched)) << at;
+                        EXPECT_TRUE(b.batch != nullptr || b.nodes.size() == n) << at;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Registry, BudgetsMatchTrialConfiguration) {

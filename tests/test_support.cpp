@@ -12,6 +12,7 @@
 #include "support/math.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "support/types.hpp"
 
 namespace adba {
 namespace {
@@ -371,6 +372,32 @@ TEST(Cli, TypedGettersParseStrictlyAndNameTheFlag) {
     const Cli bare(2, const_cast<char**>(abc));
     EXPECT_NE(message([&] { bare.get_int("trials", 20); }).find("--trials"),
               std::string::npos);
+}
+
+TEST(Cli, UnsignedGetterRejectsNegativeAndTooWideValues) {
+    const char* argv[] = {"prog", "--trials=-1", "--k=4294967296", "--n=4294967295",
+                          "--seed=18446744073709551615", "--chunk=+3"};
+    Cli cli(6, const_cast<char**>(argv));
+    const auto message = [](const std::function<void()>& read) {
+        try {
+            read();
+        } catch (const ContractViolation& e) {
+            return std::string(e.what());
+        }
+        return std::string("(no throw)");
+    };
+    // A negative count used to wrap to 4294967295 through get_int + cast.
+    const std::string trials = message([&] { cli.get_uint<Count>("trials", 20); });
+    EXPECT_NE(trials.find("--trials"), std::string::npos) << trials;
+    EXPECT_NE(trials.find("non-negative"), std::string::npos) << trials;
+    const std::string k = message([&] { cli.get_uint<NodeId>("k", 1); });
+    EXPECT_NE(k.find("--k"), std::string::npos) << k;
+    EXPECT_NE(k.find("4294967295"), std::string::npos) << k;
+    EXPECT_NE(message([&] { cli.get_uint<Count>("chunk", 0); }).find("--chunk"),
+              std::string::npos);
+    EXPECT_EQ(cli.get_uint<NodeId>("n", 1), 4294967295u);
+    EXPECT_EQ(cli.get_uint<std::uint64_t>("seed", 1), 18446744073709551615ull);
+    EXPECT_EQ(cli.get_uint<Count>("missing", 7), 7u);
 }
 
 TEST(Cli, CheckUnusedPassesWhenEveryFlagWasQueried) {

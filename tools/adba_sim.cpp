@@ -150,7 +150,7 @@ bool help_requested(const Cli& cli, const char* workload,
 /// loads completed chunks from it instead of re-running them.
 sim::ExecutorConfig exec_config(const Cli& cli) {
     sim::ExecutorConfig exec;
-    exec.chunk = static_cast<Count>(cli.get_int("chunk", 0));
+    exec.chunk = cli.get_uint<Count>("chunk", 0);
     exec.checkpoint = cli.get("checkpoint", "");
     exec.resume = cli.get_bool("resume", false);
     if (exec.resume && exec.checkpoint.empty())
@@ -168,8 +168,8 @@ int run_multivalued(const Cli& cli) {
     // --scenario spec keeps its own t).
     if (s.n == 0) s.n = 96;
     if (!flags.count("t") && !from_spec) s.t = (s.n - 1) / 3;
-    const auto trials = static_cast<Count>(cli.get_int("trials", 20));
-    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+    const auto trials = cli.get_uint<Count>("trials", 20);
+    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");  // queried late by maybe_csv; recognize it now
     if (help_requested(cli, "mv", flag_help(sim::MvScenario::keys()))) return 0;
@@ -210,13 +210,13 @@ int run_multivalued(const Cli& cli) {
 
 int run_coin(const Cli& cli) {
     sim::CoinScenario s;
-    s.n = static_cast<NodeId>(cli.get_int("n", 256));
-    s.designated = static_cast<NodeId>(cli.get_int("k", s.n));  // == n: Algorithm 1
-    s.f = static_cast<Count>(cli.get_int("f", 0));
+    s.n = cli.get_uint<NodeId>("n", 256);
+    s.designated = cli.get_uint<NodeId>("k", s.n);  // == n: Algorithm 1
+    s.f = cli.get_uint<Count>("f", 0);
     s.attack = sim::parse_coin_attack(cli.get("attack", "split"));
-    s.forced_bit = static_cast<Bit>(cli.get_int("forced_bit", 0));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 2000));
-    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+    s.forced_bit = cli.get_uint<Bit>("forced_bit", 0);
+    const auto trials = cli.get_uint<Count>("trials", 2000);
+    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");
     if (help_requested(cli, "coin")) return 0;
@@ -259,12 +259,12 @@ int run_coin(const Cli& cli) {
 
 int run_macro(const Cli& cli) {
     sim::MacroScenario s;
-    s.n = static_cast<std::uint64_t>(cli.get_int("n", 1 << 16));
-    s.t = static_cast<std::uint64_t>(cli.get_int("t", 256));
-    s.q = cli.has("q") ? static_cast<std::uint64_t>(cli.get_int("q", 0)) : s.t;
+    s.n = cli.get_uint<std::uint64_t>("n", 1 << 16);
+    s.t = cli.get_uint<std::uint64_t>("t", 256);
+    s.q = cli.get_uint<std::uint64_t>("q", s.t);
     s.schedule = sim::parse_macro_schedule(cli.get("schedule", "ours"));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 50));
-    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+    const auto trials = cli.get_uint<Count>("trials", 50);
+    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");
     if (help_requested(cli, "macro")) return 0;
@@ -315,8 +315,8 @@ int run_binary(const Cli& cli) {
         while (s.t > 0 && !proto.supports(s.n, s.t)) --s.t;
     }
 
-    const auto trials = static_cast<Count>(cli.get_int("trials", 20));
-    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+    const auto trials = cli.get_uint<Count>("trials", 20);
+    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");  // queried late by maybe_csv; recognize it now
     if (help_requested(cli, "binary",
