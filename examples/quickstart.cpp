@@ -41,8 +41,9 @@ int main(int argc, char** argv) {
     for (NodeId v = 0; v < n; ++v) inputs[v] = static_cast<Bit>(v & 1);
 
     net::NodePool nodes;
-    core::arm_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases, inputs, seeds,
-                               nodes);
+    core::arm_committee_nodes({params.n, params.t, params.phases,
+                               core::AgreementMode::WhpFixedPhases},
+                              params.schedule, inputs, seeds, nodes);
 
     // The strongest attack we know for this protocol family: rushing
     // observation of committee coin flips, greedy corruption to split or

@@ -8,11 +8,19 @@
 // calls per node, so an adversary that scans the population should read
 // planes when it can. Observer picks the form once per act() and answers
 // identically either way — same values, same preconditions and messages as
-// Engine::Ctl — so strategies are written once against it.
+// Engine::Ctl — so strategies are written once against it. The word scans
+// (live_word, live_decided_word) read whole words of plane bytes; in a
+// word-sent round send_words() also hands out the round's presence and val
+// bit planes, so a quorum count is a popcount.
 #pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 
 #include "net/engine.hpp"
 #include "net/round_buffer.hpp"
+#include "net/tally_kernels.hpp"
 #include "support/contracts.hpp"
 #include "support/types.hpp"
 
@@ -66,9 +74,46 @@ public:
         return p_.decided[v] != 0;
     }
 
+    /// Live nodes among [64·w, 64·w + 64) ∩ [0, n), bit i for node 64·w + i.
+    std::uint64_t live_word(std::size_t w) const {
+        return scan_word(w, [&](NodeId v) { return live(v); },
+                         [&](NodeId v) { return live_bytes64(v); });
+    }
+    /// Live and decided nodes of word w, as live_word.
+    std::uint64_t live_decided_word(std::size_t w) const {
+        return scan_word(w, [&](NodeId v) { return live(v) && decided(v); },
+                         [&](NodeId v) {
+                             return live_bytes64(v) & net::kern::nonzero_bytes64(p_.decided + v);
+                         });
+    }
+    /// The round's send words (ObservationPlanes::present_words, val_words,
+    /// word_kind, word_phase), or nullptr when the control offers none:
+    /// a control without planes, or a round with a per-node send.
+    const net::ObservationPlanes* send_words() const {
+        return p_.present_words != nullptr ? &p_ : nullptr;
+    }
+
 private:
     bool honest_bit(NodeId v) const {
         return (p_.state[v] & net::RoundBuffer::kByzantine) == 0;
+    }
+    /// Bit i set iff node v + i is live, for 64 nodes (planes only).
+    std::uint64_t live_bytes64(NodeId v) const {
+        return net::kern::clear_bytes64(p_.state + v, net::RoundBuffer::kByzantine,
+                                        p_.halted + v);
+    }
+    /// One word of a per-node predicate: `bytes64(v)` answers a whole word
+    /// of nodes from v at once over planes, `one(v)` answers a node (the
+    /// per-node fallback, and the last word when n % 64 != 0).
+    template <typename One, typename Bytes64>
+    std::uint64_t scan_word(std::size_t w, One&& one, Bytes64&& bytes64) const {
+        const auto v0 = static_cast<NodeId>(w * net::kern::kWordBits);
+        ADBA_EXPECTS(v0 < n_);
+        const NodeId v1 = std::min<NodeId>(n_, v0 + static_cast<NodeId>(net::kern::kWordBits));
+        if (p_ && v1 - v0 == net::kern::kWordBits) return bytes64(v0);
+        std::uint64_t bits = 0;
+        for (NodeId v = v0; v < v1; ++v) bits |= std::uint64_t{one(v)} << (v - v0);
+        return bits;
     }
 
     const net::RoundControl& ctl_;

@@ -80,10 +80,12 @@ void TcPreludeAdversary::act(net::RoundControl& ctl) {
         m.kind = net::MsgKind::TCEcho;
         m.word = plurality_;
         if (split_armed_) {
-            // Alternate receivers: half pushed, by every corrupted node.
-            cells_.assign(n, m);
-            for (NodeId to = 0; to < n; to += 2) cells_[to].flag = 1;
-            ctl.deliver_rows_as(corrupted_, cells_);
+            // Alternate receivers: the even ones pushed (flag 1), by every
+            // corrupted node — one selector with every even bit set.
+            select_.assign(net::kern::word_count(n), 0x5555555555555555ULL);
+            net::Message pushed = m;
+            pushed.flag = 1;
+            ctl.deliver_select_as(corrupted_, m, pushed, select_);
         } else {
             // Unarmed: senders alternate pushing, each to all receivers.
             bool push = true;

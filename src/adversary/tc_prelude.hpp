@@ -5,6 +5,7 @@
 // SwitchAdversary to attack the full multi-valued stack.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "net/engine.hpp"
@@ -32,7 +33,8 @@ private:
     Count budget_ = 0;  ///< engine budget t (fixes the n-t quorum)
     std::vector<NodeId> corrupted_;
     std::vector<NodeId> echo_targets_;  ///< receivers pushed over the quorum
-    std::vector<net::Message> cells_;   ///< per-receiver forgeries (scratch)
+    std::vector<net::Message> cells_;   ///< round 0's per-receiver forgeries (scratch)
+    std::vector<std::uint64_t> select_;  ///< round 1's pushed receivers (scratch)
     net::Word plurality_ = 0;  ///< honest plurality word observed in round 0
     bool split_armed_ = false;
 };

@@ -1,6 +1,7 @@
 #include "adversary/worst_case.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "adversary/observer.hpp"
@@ -10,7 +11,24 @@ namespace adba::adv {
 
 namespace {
 constexpr Count kInfeasible = std::numeric_limits<Count>::max();
+
+/// Bit i set iff bits 0..i of x hold an odd number of ones.
+std::uint64_t prefix_parity(std::uint64_t x) {
+    for (unsigned s = 1; s < net::kern::kWordBits; s <<= 1) x ^= x << s;
+    return x;
 }
+
+/// Bits of [first, last) that fall in word w.
+std::uint64_t range_mask(std::size_t w, NodeId first, NodeId last) {
+    const auto v0 = static_cast<NodeId>(w * net::kern::kWordBits);
+    const NodeId lo = std::max(first, v0);
+    const NodeId hi = std::min<NodeId>(last, v0 + net::kern::kWordBits);
+    if (lo >= hi) return 0;
+    return (hi - v0 == net::kern::kWordBits ? ~std::uint64_t{0}
+                                            : (std::uint64_t{1} << (hi - v0)) - 1) &
+           (~std::uint64_t{0} << (lo - v0));
+}
+}  // namespace
 
 Count WorstCaseAdversary::remaining(const net::RoundControl& ctl) const {
     return std::min<Count>(ctl.budget_left(), cfg_.max_corruptions - used_);
@@ -36,44 +54,50 @@ void WorstCaseAdversary::act_round1(net::RoundControl& ctl, Phase p) {
     const Observer obs(ctl);
     const NodeId n = obs.n();
     const Count quorum = n - cfg_.t;
+    const std::size_t words = net::kern::word_count(n);
 
-    Count tally[2] = {0, 0};
-    for (NodeId v = 0; v < n; ++v) {
-        if (!obs.live(v)) continue;
-        const net::Message* m = obs.broadcast(v);
-        if (m && m->kind == net::MsgKind::Vote1 && m->phase == p) ++tally[m->val & 1];
+    // The Vote1 voters of phase p by value, one bit per live node. In a
+    // word-sent round the send words answer it a word at a time: either
+    // every present sender voted under (Vote1, p) or none did.
+    for (auto& plane : votes_) plane.assign(words, 0);
+    if (const net::ObservationPlanes* sw = obs.send_words()) {
+        if (sw->word_kind == net::MsgKind::Vote1 && sw->word_phase == p) {
+            for (std::size_t w = 0; w < words; ++w) {
+                const std::uint64_t voted = sw->present_words[w] & obs.live_word(w);
+                votes_[1][w] = voted & sw->val_words[w];
+                votes_[0][w] = voted & ~sw->val_words[w];
+            }
+        }
+    } else {
+        for (NodeId v = 0; v < n; ++v) {
+            if (!obs.live(v)) continue;
+            const net::Message* m = obs.broadcast(v);
+            if (m && m->kind == net::MsgKind::Vote1 && m->phase == p)
+                votes_[m->val & 1][v / net::kern::kWordBits] |= std::uint64_t{1}
+                                                                << (v % net::kern::kWordBits);
+        }
     }
 
     for (Bit b : {Bit{0}, Bit{1}}) {
-        if (tally[b] < quorum) continue;
-        const Count need = tally[b] - quorum + 1;
+        const std::uint64_t* bloc = votes_[b].data();
+        const Count tally = net::kern::popcount_words(bloc, words);
+        if (tally < quorum) continue;
+        const Count need = tally - quorum + 1;
         if (need > remaining(ctl)) return;  // cannot block; let it lock in
         // Corrupt `need` nodes of the quorum bloc, preferring members of the
         // current committee (their corpses become coin equivocators in
-        // round 2 of this phase).
-        std::vector<NodeId> committee_first, rest;
-        for (NodeId v = 0; v < n && committee_first.size() + rest.size() <
-                                        static_cast<std::size_t>(tally[b]);
-             ++v) {
-            if (!obs.live(v)) continue;
-            const net::Message* m = obs.broadcast(v);
-            if (!(m && m->kind == net::MsgKind::Vote1 && m->phase == p && (m->val & 1) == b))
-                continue;
-            if (cfg_.schedule.flips_in_phase(v, p))
-                committee_first.push_back(v);
-            else
-                rest.push_back(v);
-        }
+        // round 2 of this phase), then the rest in ascending order. `bloc`
+        // is this act's own copy, so corruptions do not disturb the walk.
+        const auto [first, last] = cfg_.schedule.range(cfg_.schedule.committee_of_phase(p));
         Count done = 0;
-        for (NodeId v : committee_first) {
-            if (done == need) break;
-            corrupt_tracked(ctl, v);
-            ++done;
-        }
-        for (NodeId v : rest) {
-            if (done == need) break;
-            corrupt_tracked(ctl, v);
-            ++done;
+        for (const bool committee : {true, false}) {
+            for (std::size_t w = 0; w < words && done < need; ++w) {
+                const std::uint64_t in = range_mask(w, first, last);
+                std::uint64_t bits = bloc[w] & (committee ? in : ~in);
+                for (; bits != 0 && done < need; bits &= bits - 1, ++done)
+                    corrupt_tracked(ctl, static_cast<NodeId>(w * net::kern::kWordBits +
+                                                             std::countr_zero(bits)));
+            }
         }
         return;  // at most one value can hold an n-t quorum
     }
@@ -86,22 +110,19 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
     const auto in_committee = [&](NodeId v) { return v >= first && v < last; };
 
     // ---- observe (full information + rushing) ----
+    // Live decided nodes, one bit each; b_i is the value of the highest.
+    const std::size_t words = net::kern::word_count(n);
+    decided_.resize(words);
     Count d = 0;
-    Bit b_i = 0;
-    // Decided honest nodes, committee members last: victims outside the
-    // committee leave the flip sum untouched, while committee victims both
-    // lose their flip and join the equivocator pool.
-    victims_.clear();
-    decided_in_.clear();
-    for (NodeId v = 0; v < n; ++v) {
-        if (!obs.live(v)) continue;
-        if (obs.decided(v)) {
-            ++d;
-            b_i = obs.value(v);
-            (in_committee(v) ? decided_in_ : victims_).push_back(v);
-        }
+    NodeId highest = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+        const std::uint64_t bits = obs.live_decided_word(w);
+        decided_[w] = bits;
+        if (bits == 0) continue;
+        d += static_cast<Count>(std::popcount(bits));
+        highest = static_cast<NodeId>(w * net::kern::kWordBits + 63 - std::countl_zero(bits));
     }
-    victims_.insert(victims_.end(), decided_in_.begin(), decided_in_.end());
+    const Bit b_i = d > 0 ? obs.value(highest) : Bit{0};
 
     // Honest committee flippers by sign. The plan below edits these lists
     // in place; nothing reads the observed lists afterwards.
@@ -130,8 +151,20 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
 
     // ---- plan: decided reduction ----
     const Count need_reduce = d > cfg_.t ? d - cfg_.t : 0;
-    if (need_reduce > victims_.size()) return;  // cannot even see all decided (impossible)
-    victims_.resize(need_reduce);
+    if (need_reduce > remaining(ctl)) return;  // unaffordable at any coin cost: spend nothing
+    // The first need_reduce decided nodes, committee members last: victims
+    // outside the committee leave the flip sum untouched, while committee
+    // victims both lose their flip and join the equivocator pool.
+    victims_.clear();
+    for (const bool committee : {false, true}) {
+        for (std::size_t w = 0; w < words && victims_.size() < need_reduce; ++w) {
+            const std::uint64_t in = range_mask(w, first, last);
+            std::uint64_t bits = decided_[w] & (committee ? in : ~in);
+            for (; bits != 0 && victims_.size() < need_reduce; bits &= bits - 1)
+                victims_.push_back(
+                    static_cast<NodeId>(w * net::kern::kWordBits + std::countr_zero(bits)));
+        }
+    }
 
     std::int64_t plan_sum = sum;
     std::int64_t plan_m = m_byz;
@@ -241,19 +274,23 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
     m.phase = p;
     if (use_split) {
         // Balanced target assignment over live honest receivers so the next
-        // phase's tallies stay far from every threshold. Every member sends
-        // the same vector, so it goes out as one shared row set.
-        cells_.assign(n, m);
-        bool next = false;
-        for (NodeId v = 0; v < n; ++v) {
-            bool up = false;
-            if (obs.live(v)) {
-                up = next;
-                next = !next;
-            }
-            cells_[v].coin = up ? CoinSign{1} : CoinSign{-1};
+        // phase's tallies stay far from every threshold: +1 to every live
+        // receiver with an odd number of live receivers before it, -1 to
+        // everyone else. Every member sends the same split, so it goes out
+        // as one selector plane, built a word at a time from the live
+        // planes as they stand after this round's corruptions.
+        select_.resize(words);
+        std::uint64_t odd_before = 0;  // all ones iff earlier words hold an odd count
+        for (std::size_t w = 0; w < words; ++w) {
+            const std::uint64_t live = obs.live_word(w);
+            const std::uint64_t parity = prefix_parity(live) ^ live ^ odd_before;
+            select_[w] = live & parity;
+            if (std::popcount(live) & 1) odd_before = ~odd_before;
         }
-        ctl.deliver_rows_as(byz_members_, cells_);
+        net::Message up = m;
+        up.coin = CoinSign{1};
+        m.coin = CoinSign{-1};
+        ctl.deliver_select_as(byz_members_, m, up, select_);
     } else {
         m.coin = b_i == 0 ? CoinSign{1} : CoinSign{-1};
         for (NodeId u : byz_members_) ctl.broadcast_as(u, m);

@@ -34,6 +34,7 @@
 // early-termination clause) independent of the engine budget.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -73,10 +74,12 @@ private:
     WorstCaseConfig cfg_;
     Count used_ = 0;
     Count ruined_ = 0;
-    // act_round2 scratch, reused across rounds so a warm adversary
-    // allocates nothing per round.
-    std::vector<NodeId> victims_, decided_in_, pos_, neg_, byz_members_;
-    std::vector<net::Message> cells_;  ///< the SPLIT ruin's per-receiver coins
+    // Scratch, reused across rounds so a warm adversary allocates nothing
+    // per round.
+    std::array<std::vector<std::uint64_t>, 2> votes_;  ///< act_round1: voters by value
+    std::vector<std::uint64_t> decided_;  ///< act_round2: live decided nodes
+    std::vector<NodeId> victims_, pos_, neg_, byz_members_;
+    std::vector<std::uint64_t> select_;  ///< the SPLIT ruin's +1 receivers
 };
 
 }  // namespace adba::adv

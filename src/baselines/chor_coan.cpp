@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <tuple>
-#include <utility>
 
 #include "support/contracts.hpp"
 #include "support/math.hpp"
@@ -50,50 +47,6 @@ ChorCoanParams ChorCoanParams::compute_classic(NodeId n, Count t, const Tuning& 
     p.phases = phases;
     p.schedule = BlockSchedule::make(n, g);
     return p;
-}
-
-ChorCoanNode::ChorCoanNode(const ChorCoanParams& params, AgreementMode mode, NodeId self,
-                           Bit input, Xoshiro256 rng) {
-    reinit(params, mode, self, input, rng);
-}
-
-void ChorCoanNode::reinit(const ChorCoanParams& params, AgreementMode mode,
-                          NodeId self, Bit input, Xoshiro256 rng) {
-    RabinSkeletonNode::reinit(
-        core::SkeletonConfig{params.n, params.t, params.phases, mode}, self, input,
-        rng);
-    sched_ = params.schedule;
-}
-
-CoinSign ChorCoanNode::coin_contribution(Phase p) {
-    return sched_.flips_in_phase(self(), p) ? rng().sign() : CoinSign{0};
-}
-
-Bit ChorCoanNode::coin_value(Phase p, const net::ReceiveView& view) {
-    const Count k = sched_.committee_of_phase(p);
-    const auto [first, last] = sched_.range(k);
-    return core::committee_coin_sum(view, p, first, last) >= 0 ? Bit{1} : Bit{0};
-}
-
-void arm_chor_coan_nodes(const ChorCoanParams& params, AgreementMode mode,
-                         const std::vector<Bit>& inputs, const SeedTree& seeds,
-                         net::NodePool& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.n);
-    net::arm_node_pool<ChorCoanNode>(nodes, params.n, [&](NodeId v) {
-        return std::make_tuple(std::cref(params), mode, v, inputs[v],
-                               seeds.stream(StreamPurpose::NodeProtocol, v));
-    });
-}
-
-void arm_chor_coan_batch(const ChorCoanParams& params, AgreementMode mode,
-                         const std::vector<Bit>& inputs, const SeedTree& seeds,
-                         std::unique_ptr<net::BatchProtocol>& batch) {
-    core::BatchCoinSpec coin;
-    coin.kind = core::BatchCoinSpec::Kind::Committee;
-    coin.schedule = params.schedule;
-    net::arm_batch<core::SkeletonBatch>(
-        batch, core::SkeletonConfig{params.n, params.t, params.phases, mode}, std::move(coin),
-        inputs, seeds);
 }
 
 Round max_rounds_whp(const ChorCoanParams& p) { return 2 * (p.phases + 2); }

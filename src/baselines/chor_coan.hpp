@@ -18,15 +18,13 @@
 //    ruin cost of a group is only ~½·sqrt(g), so measured rounds degrade
 //    toward Θ(t/sqrt(log n)) — an instructive measured finding reported in
 //    EXPERIMENTS.md (the 1985 analysis assumed a non-rushing adversary).
+//
+// Both variants run core::CommitteeCoinNode (core/agreement.hpp) and its
+// SoA batch over their own schedule; only the parameters live here.
 #pragma once
-
-#include <memory>
-#include <vector>
 
 #include "core/params.hpp"
 #include "core/skeleton.hpp"
-#include "core/skeleton_batch.hpp"
-#include "rand/seed_tree.hpp"
 
 namespace adba::base {
 
@@ -50,38 +48,6 @@ struct ChorCoanParams {
     /// holds in our (harder) model: phases = ⌈2t/(½√g)⌉ + ⌈γ·log n⌉.
     static ChorCoanParams compute_classic(NodeId n, Count t, const Tuning& tune = {});
 };
-
-/// One Chor-Coan node (either variant; behaviour differs only via params).
-class ChorCoanNode final : public core::RabinSkeletonNode {
-public:
-    ChorCoanNode(const ChorCoanParams& params, AgreementMode mode, NodeId self,
-                 Bit input, Xoshiro256 rng);
-
-    /// Re-arms a pooled node for a fresh trial (constructor contract).
-    void reinit(const ChorCoanParams& params, AgreementMode mode, NodeId self,
-                Bit input, Xoshiro256 rng);
-
-    const BlockSchedule& schedule() const { return sched_; }
-
-protected:
-    CoinSign coin_contribution(Phase p) override;
-    Bit coin_value(Phase p, const net::ReceiveView& view) override;
-
-private:
-    BlockSchedule sched_;
-};
-
-/// Arms the per-node form into an empty pool, or re-arms a pool armed
-/// earlier in place (no allocs).
-void arm_chor_coan_nodes(const ChorCoanParams& params, AgreementMode mode,
-                         const std::vector<Bit>& inputs, const SeedTree& seeds,
-                         net::NodePool& nodes);
-
-/// Arms the native SoA batch form (committee coin over the variant's
-/// schedule); bit-identical to the node vector, one dispatch per engine beat.
-void arm_chor_coan_batch(const ChorCoanParams& params, AgreementMode mode,
-                         const std::vector<Bit>& inputs, const SeedTree& seeds,
-                         std::unique_ptr<net::BatchProtocol>& batch);
 
 /// The paper's round budget analogue for this baseline.
 Round max_rounds_whp(const ChorCoanParams& p);

@@ -4,7 +4,11 @@
 // The node is the Rabin skeleton plus the paper's committee coin: phase i's
 // coin is produced by committee i (ID block of size s = n/c), each member
 // piggybacking a ±1 flip on its round-2 broadcast; every node adopts the
-// sign of the committee sum (Algorithm 2 / Corollary 1).
+// sign of the committee sum (Algorithm 2 / Corollary 1). The same node,
+// over a different block schedule, is each Chor-Coan baseline
+// (baselines/chor_coan.hpp): the protocols differ only in their committee
+// sizing, so one committee-coin node over (SkeletonConfig, BlockSchedule)
+// serves all four committee protocols.
 //
 // Round complexity: phases = c = min(α⌈t²/n⌉log n, 3αt/log n) (+ the
 // finite-n w.h.p. floor, see core/params.hpp), two rounds per phase, early
@@ -22,14 +26,15 @@
 
 namespace adba::core {
 
-/// One node of Algorithm 3.
-class Algorithm3Node final : public RabinSkeletonNode {
+/// One node of a committee-coin protocol: phase p's committee (an ID block
+/// of `schedule`) flips, and every node adopts the sign of its sum.
+class CommitteeCoinNode final : public RabinSkeletonNode {
 public:
-    Algorithm3Node(const AgreementParams& params, AgreementMode mode, NodeId self,
-                   Bit input, Xoshiro256 rng);
+    CommitteeCoinNode(const SkeletonConfig& cfg, const BlockSchedule& schedule, NodeId self,
+                      Bit input, Xoshiro256 rng);
 
     /// Re-arms a pooled node for a fresh trial (constructor contract).
-    void reinit(const AgreementParams& params, AgreementMode mode, NodeId self,
+    void reinit(const SkeletonConfig& cfg, const BlockSchedule& schedule, NodeId self,
                 Bit input, Xoshiro256 rng);
 
     const BlockSchedule& schedule() const { return sched_; }
@@ -46,15 +51,15 @@ private:
 /// independent protocol stream from the seed tree. An empty pool is built;
 /// a pool armed earlier (same n, same node type) is re-armed in place with
 /// zero allocation.
-void arm_algorithm3_nodes(const AgreementParams& params, AgreementMode mode,
-                          const std::vector<Bit>& inputs, const SeedTree& seeds,
-                          net::NodePool& nodes);
+void arm_committee_nodes(const SkeletonConfig& cfg, const BlockSchedule& schedule,
+                         const std::vector<Bit>& inputs, const SeedTree& seeds,
+                         net::NodePool& nodes);
 
 /// Arms the native SoA batch form of the same protocol (core/skeleton_batch.hpp
 /// with the committee coin): bit-identical to the node vector above, one
 /// dispatch per engine beat. Builds on an empty slot, re-arms otherwise.
-void arm_algorithm3_batch(const AgreementParams& params, AgreementMode mode,
-                          const std::vector<Bit>& inputs, const SeedTree& seeds,
-                          std::unique_ptr<net::BatchProtocol>& batch);
+void arm_committee_batch(const SkeletonConfig& cfg, const BlockSchedule& schedule,
+                         const std::vector<Bit>& inputs, const SeedTree& seeds,
+                         std::unique_ptr<net::BatchProtocol>& batch);
 
 }  // namespace adba::core

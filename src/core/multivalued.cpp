@@ -75,11 +75,13 @@ void TurpinCoanNode::round_receive(Round r, const net::ReceiveView& view) {
         }
         x_star_valid_ = best > 0;
         const Bit binary_input = best >= quorum ? Bit{1} : Bit{0};
+        const AgreementParams& b = params_.binary;
+        const SkeletonConfig cfg{b.n, b.t, b.phases, params_.mode};
         if (inner_) {
-            inner_->reinit(params_.binary, params_.mode, self_, binary_input, rng_);
+            inner_->reinit(cfg, b.schedule, self_, binary_input, rng_);
         } else {
-            inner_ = std::make_unique<Algorithm3Node>(params_.binary, params_.mode,
-                                                      self_, binary_input, rng_);
+            inner_ = std::make_unique<CommitteeCoinNode>(cfg, b.schedule, self_, binary_input,
+                                                         rng_);
         }
         inner_live_ = true;
         return;

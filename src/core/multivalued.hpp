@@ -77,7 +77,7 @@ private:
     // Inner binary protocol, armed when the prelude fixes its input. The
     // allocation is pooled across trials; inner_live_ marks whether the
     // current trial's prelude has armed it yet.
-    std::unique_ptr<Algorithm3Node> inner_;
+    std::unique_ptr<CommitteeCoinNode> inner_;
     bool inner_live_ = false;
 };
 

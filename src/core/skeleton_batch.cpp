@@ -176,13 +176,17 @@ void SkeletonBatch::step_range(Round r, const std::uint8_t* state, NodeId lo, No
 
     NodeId v = lo;
     Step uniform;
+    // Fixed case-3 coins ride the eight-byte plane update below; the other
+    // coin forms (draws, per-receiver sums) are written first, per node.
+    bool coin_bytes = false;
     if constexpr (kUniform) {
         while (v < hi && !live_at(v)) ++v;
         if (v == hi) return;  // no live receiver: nothing to write or check
         uniform = step(round2, counts(v), checked);
+        coin_bytes = uniform.coin && coin.form == PreparedCoin::Form::Fixed;
         // Case 3 everywhere: the coins go first, in ascending order, so the
         // plane updates below carry no calls.
-        if (uniform.coin)
+        if (uniform.coin && !coin_bytes)
             for (NodeId u = v; u < hi; ++u)
                 if (live_at(u)) val[u] = coin(u);
         // Eight receivers per step: the same updates as the per-node loop
@@ -192,7 +196,8 @@ void SkeletonBatch::step_range(Round r, const std::uint8_t* state, NodeId lo, No
         const std::uint64_t val_to = uniform.val * kByteLowBits;
         const std::uint64_t decided_to = uniform.decided * kByteLowBits;
         const std::uint64_t finish_to = uniform.finish * kByteLowBits;
-        const std::uint64_t set_val = (uniform.keep | uniform.coin) ? 0 : kByteLowBits;
+        const std::uint64_t set_val =
+            uniform.keep || (uniform.coin && !coin_bytes) ? 0 : kByteLowBits;
         const std::uint64_t flush_on = round2 * kByteLowBits;
         const std::uint64_t halt_on = last_phase * kByteLowBits;
         for (; v + 8 <= hi; v += 8) {
@@ -201,7 +206,8 @@ void SkeletonBatch::step_range(Round r, const std::uint8_t* state, NodeId lo, No
                                        kByteLowBits;
             const std::uint64_t on = live * 0xFF;
             const std::uint64_t val_on = (live & set_val) * 0xFF;
-            store_bytes8(val + v, (load_bytes8(val + v) & ~val_on) | (val_to & val_on));
+            const std::uint64_t to = coin_bytes ? coin.bytes8(v) : val_to;
+            store_bytes8(val + v, (load_bytes8(val + v) & ~val_on) | (to & val_on));
             store_bytes8(decided + v, (load_bytes8(decided + v) & ~on) | (decided_to & on));
             const std::uint64_t fin = load_bytes8(finish + v) | (live & finish_to);
             store_bytes8(finish + v, fin);
@@ -213,7 +219,7 @@ void SkeletonBatch::step_range(Round r, const std::uint8_t* state, NodeId lo, No
         if (!live_at(v)) continue;
         const Step s = kUniform ? uniform : step(round2, counts(v), checked);
         if (s.coin) {
-            if constexpr (!kUniform) val[v] = coin(v);  // else written above
+            if (!kUniform || coin_bytes) val[v] = coin(v);  // else written above
         } else if (!s.keep) {
             val[v] = s.val;
         }
@@ -224,29 +230,63 @@ void SkeletonBatch::step_range(Round r, const std::uint8_t* state, NodeId lo, No
     }
 }
 
-auto SkeletonBatch::prepared_coin(Round r) {
+Bit SkeletonBatch::PreparedCoin::operator()(NodeId v) const {
+    switch (form) {
+        case Form::Fixed:
+            return fixed[select != nullptr ? net::kern::bit_at(select, v) : 0];
+        case Form::Sums:
+            // The honest committee sum is receiver-independent and hoisted;
+            // only the Byzantine delta varies per receiver.
+            return honest + delta[v] >= 0 ? Bit{1} : Bit{0};
+        case Form::Draw:
+            return rng[v].bit();
+    }
+    return Bit{0};  // unreachable: all forms handled above
+}
+
+std::uint64_t SkeletonBatch::PreparedCoin::bytes8(NodeId v) const {
+    using namespace net::kern;
+    std::uint64_t bits = 0;
+    if (select != nullptr) {
+        // Receivers v..v+7 may straddle two selector words.
+        const std::size_t w = v / kWordBits;
+        const unsigned s = v % kWordBits;
+        bits = select[w] >> s;
+        if (s > kWordBits - 8) bits |= select[w + 1] << (kWordBits - s);
+    }
+    const std::uint64_t ones = scatter_low_bits8(bits);
+    return (ones & (fixed[1] * kByteLowBits)) | (~ones & (fixed[0] * kByteLowBits));
+}
+
+void SkeletonBatch::prepare_coin(Round r, const net::RoundTally& tally) {
     const Phase p = r / 2;
-    // Dealer coins are pure functions of the phase: one read serves all.
-    const Bit dealer = (r % 2) != 0 && coin_.kind == BatchCoinSpec::Kind::Dealer
-                           ? coin_.dealer(p)
-                           : Bit{0};
-    // Captured by value: the receive loop's byte stores may alias members.
-    return [this, kind = coin_.kind, dealer, honest = prep_honest_coin_,
-            delta = prep_coin_delta_](NodeId v) -> Bit {
-        switch (kind) {
-            case BatchCoinSpec::Kind::Committee: {
-                // The honest committee sum is receiver-independent and
-                // hoisted; only the Byzantine delta varies per receiver.
-                const std::int64_t sum = honest + (delta != nullptr ? delta[v] : 0);
-                return sum >= 0 ? Bit{1} : Bit{0};
-            }
-            case BatchCoinSpec::Kind::Dealer:
-                return dealer;
-            case BatchCoinSpec::Kind::Local:
-                return rng_[v].bit();
+    PreparedCoin c;
+    c.rng = rng_.data();
+    if ((r % 2) != 0 && coin_.kind == BatchCoinSpec::Kind::Dealer) {
+        // Dealer coins are pure functions of the phase: one read serves all.
+        c.form = PreparedCoin::Form::Fixed;
+        c.fixed[0] = c.fixed[1] = coin_.dealer(p);
+    } else if ((r % 2) != 0 && coin_.kind == BatchCoinSpec::Kind::Committee) {
+        const auto range = coin_.schedule.range(coin_.schedule.committee_of_phase(p));
+        for (std::size_t i = 0; i < tally.bucket_count(); ++i) {
+            const net::TallyBucket& cb = tally.bucket(i);
+            if (cb.kind != net::MsgKind::Vote2 || cb.phase != p) continue;
+            c.honest += tally.coin_range_sum(cb, range.first, range.second);
         }
-        return Bit{0};  // unreachable: all kinds handled above
-    };
+        // Byzantine deltas that take at most two values (none, or one
+        // selector's) fix the coin per selector bit; any others come as a
+        // per-receiver plane, and a null plane means no delta at all.
+        const auto two = tally.coin_delta_select(net::MsgKind::Vote2, p, /*check_phase=*/true,
+                                                 range.first, range.second);
+        c.delta = two ? nullptr
+                      : tally.coin_delta_plane(net::MsgKind::Vote2, p, /*check_phase=*/true,
+                                               range.first, range.second);
+        c.form = c.delta != nullptr ? PreparedCoin::Form::Sums : PreparedCoin::Form::Fixed;
+        if (two) c.select = two->select;
+        for (int b = 0; b < 2; ++b)
+            c.fixed[b] = c.honest + (two ? two->delta[b] : 0) >= 0 ? Bit{1} : Bit{0};
+    }
+    prep_coin_ = c;
 }
 
 void SkeletonBatch::receive_all(Round r, const net::RoundBuffer& buf,
@@ -264,23 +304,7 @@ void SkeletonBatch::receive_prepare(Round r, const net::RoundBuffer&,
     prep_base_ = {0, 0};
     if (b != nullptr) prep_base_ = round2 ? b->val_flag_cnt : b->val_cnt;
     prep_delta_ = tally.val_delta_plane(kind, p, /*require_flag=*/round2);
-    prep_honest_coin_ = 0;
-    prep_coin_delta_ = nullptr;
-    if (round2 && coin_.kind == BatchCoinSpec::Kind::Committee) {
-        // Eager committee-coin hoist: the tally's lazy caches must not be
-        // built from concurrent shards, so prepare pays for them up front
-        // even when no node lands in case 3 — a cache build only, not an
-        // observable draw (coin values are unchanged).
-        const auto range = coin_.schedule.range(coin_.schedule.committee_of_phase(p));
-        for (std::size_t i = 0; i < tally.bucket_count(); ++i) {
-            const net::TallyBucket& cb = tally.bucket(i);
-            if (cb.kind != net::MsgKind::Vote2 || cb.phase != p) continue;
-            prep_honest_coin_ += tally.coin_range_sum(cb, range.first, range.second);
-        }
-        prep_coin_delta_ =
-            tally.coin_delta_plane(net::MsgKind::Vote2, p, /*check_phase=*/true,
-                                   range.first, range.second);
-    }
+    prepare_coin(r, tally);
 }
 
 void SkeletonBatch::receive_range(Round r, const net::RoundBuffer& buf,
@@ -292,7 +316,7 @@ void SkeletonBatch::receive_range(Round r, const net::RoundBuffer& buf,
     if (prep_delta_ == nullptr) {
         step_range<true>(
             r, state, lo, hi, /*checked=*/true, [&](NodeId) { return prep_base_; },
-            prepared_coin(r));
+            PreparedCoin(prep_coin_));
         return;
     }
     step_range<false>(
@@ -301,7 +325,7 @@ void SkeletonBatch::receive_range(Round r, const net::RoundBuffer& buf,
             return std::array<Count, 2>{prep_base_[0] + prep_delta_[v][0],
                                         prep_base_[1] + prep_delta_[v][1]};
         },
-        prepared_coin(r));
+        PreparedCoin(prep_coin_));
 }
 
 void SkeletonBatch::receive_sparse_prepare(Round r, const net::RoundBuffer&,
@@ -311,23 +335,11 @@ void SkeletonBatch::receive_sparse_prepare(Round r, const net::RoundBuffer&,
     const bool round2 = (r % 2) != 0;
     const net::MsgKind kind = round2 ? net::MsgKind::Vote2 : net::MsgKind::Vote1;
     prep_sparse_query_ = sparse.query(kind, p, /*require_flag=*/round2);
-    prep_honest_coin_ = 0;
-    prep_coin_delta_ = nullptr;
-    if (round2 && coin_.kind == BatchCoinSpec::Kind::Committee) {
-        // The committee coin is the sparse plane's exact island: the sender
-        // range is the paper's committee, so every receiver hears it in
-        // full through the shared tally — the same hoist receive_prepare
-        // does, and the same integers at any sampling degree.
-        const auto range = coin_.schedule.range(coin_.schedule.committee_of_phase(p));
-        for (std::size_t i = 0; i < tally.bucket_count(); ++i) {
-            const net::TallyBucket& cb = tally.bucket(i);
-            if (cb.kind != net::MsgKind::Vote2 || cb.phase != p) continue;
-            prep_honest_coin_ += tally.coin_range_sum(cb, range.first, range.second);
-        }
-        prep_coin_delta_ =
-            tally.coin_delta_plane(net::MsgKind::Vote2, p, /*check_phase=*/true,
-                                   range.first, range.second);
-    }
+    // The committee coin is the sparse plane's exact island: the sender
+    // range is the paper's committee, so every receiver hears it in full
+    // through the shared tally — the same hoist receive_prepare does, and
+    // the same integers at any sampling degree.
+    prepare_coin(r, tally);
 }
 
 void SkeletonBatch::receive_sparse_range(Round r, const net::RoundBuffer& buf,
@@ -340,7 +352,7 @@ void SkeletonBatch::receive_sparse_range(Round r, const net::RoundBuffer& buf,
     step_range<false>(
         r, buf.state_plane(), lo, hi, /*checked=*/sparse.dense(),
         [&](NodeId v) { return sparse.val_estimates(prep_sparse_query_, v); },
-        prepared_coin(r));
+        PreparedCoin(prep_coin_));
 }
 
 void SkeletonBatch::receive_all(Round r, const net::RoundBuffer& buf,

@@ -15,9 +15,11 @@
 // delta planes, so the inner loop is pure arithmetic over contiguous
 // arrays. When no Byzantine delivery matches the round's vote query, every
 // receiver sees the same counts: the thresholds run once and the planes
-// update in branch-free byte loops. The send step hands the buffer whole
-// 64-sender words (RoundBuffer::set_word), so the packed tally adopts them
-// instead of re-reading n Messages. tests/test_batch_plane.cpp pins this
+// update in branch-free byte loops — the case-3 coins too, when no
+// receiver draws and the committee's Byzantine coin is absent or one
+// selector's (RoundTally::coin_delta_select). The send step hands the
+// buffer whole 64-sender words (RoundBuffer::set_word), so the packed
+// tally adopts them instead of re-reading n Messages. tests/test_batch_plane.cpp pins this
 // class bit-identical to the per-node adapter across every compatible
 // registry pair.
 //
@@ -115,26 +117,50 @@ private:
     /// when `checked`) contracts. Lemma 3 is a theorem for exact counts
     /// only, not for sub-dense sampled estimates.
     Step step(bool round2, const std::array<Count, 2>& cnt, bool checked) const;
+    /// The case-3 coin of one receive beat, as prepare_coin hoisted it.
+    /// Fixed: no receiver draws or sums — receiver v's coin is
+    /// fixed[bit v of `select`] (select == nullptr: fixed[0]): the dealer's
+    /// coin, or a committee coin whose Byzantine part is absent or chosen by
+    /// one selector. Sums: the committee coin from the hoisted honest sum
+    /// plus a per-receiver Byzantine delta plane. Draw: the receiver's own
+    /// flip. Captured by value: the receive loop's byte stores may alias
+    /// members.
+    struct PreparedCoin {
+        enum class Form : std::uint8_t { Fixed, Sums, Draw };
+        Form form = Form::Draw;
+        Bit fixed[2] = {0, 0};
+        const std::uint64_t* select = nullptr;
+        std::int64_t honest = 0;
+        const std::int64_t* delta = nullptr;
+        Xoshiro256* rng = nullptr;
+
+        Bit operator()(NodeId v) const;
+        /// Fixed form only: the coins of receivers v..v+7 as 0/1 bytes.
+        std::uint64_t bytes8(NodeId v) const;
+    };
     /// Receive beat over receivers [lo, hi): counts(v) is v's tally and
     /// coin(v) its case-3 coin, drawn only for live case-3 receivers in
     /// ascending order. kUniform: every receiver has the same counts, so
     /// the thresholds run once — and their contracts fire only if the range
-    /// has a live receiver — and the planes update branch-free.
+    /// has a live receiver — and the planes update branch-free (a Fixed
+    /// coin eight receivers at a time too).
     template <bool kUniform, typename CountsFn, typename CoinFn>
     void step_range(Round r, const std::uint8_t* state, NodeId lo, NodeId hi,
                     bool checked, CountsFn&& counts, CoinFn&& coin);
-    /// The prepared case-3 coin for round r (receive_prepare or
-    /// receive_sparse_prepare hoists): committee sums per receiver, the
-    /// dealer's pure coin read once, or the receiver's own flip.
-    auto prepared_coin(Round r);
+    /// Hoists round r's case-3 coin into prep_coin_ (receive_prepare and
+    /// receive_sparse_prepare): the committee's honest sum and Byzantine
+    /// deltas, or the dealer's pure coin, read once. The tally's lazy
+    /// caches must not be built from concurrent shards, so this pays for
+    /// them up front even when no node lands in case 3 — a cache build
+    /// only, not an observable draw.
+    void prepare_coin(Round r, const net::RoundTally& tally);
 
     SkeletonConfig cfg_;
     BatchCoinSpec coin_;
     // receive_prepare → receive_range handoff; valid for one beat only.
     std::array<Count, 2> prep_base_{0, 0};
     const std::array<Count, 2>* prep_delta_ = nullptr;
-    std::int64_t prep_honest_coin_ = 0;
-    const std::int64_t* prep_coin_delta_ = nullptr;
+    PreparedCoin prep_coin_;
     net::SparsePlane::Query prep_sparse_query_;  ///< sparse beats only
     std::vector<Bit> val_;
     std::vector<std::uint8_t> decided_;

@@ -75,8 +75,15 @@ public:
         const std::uint8_t* decided = e_.batch_->decided_plane();
         const Bit* value = e_.batch_->value_plane();
         if (decided == nullptr || value == nullptr) return {};
-        return {e_.buf_.state_plane(), e_.batch_->halted_plane(),
-                e_.buf_.honest_plane(), decided, value};
+        ObservationPlanes p{e_.buf_.state_plane(), e_.batch_->halted_plane(),
+                            e_.buf_.honest_plane(), decided, value};
+        if (const auto words = e_.buf_.word_round()) {
+            p.present_words = e_.buf_.present_words();
+            p.val_words = e_.buf_.word_planes().val.data();
+            p.word_kind = words->kind;
+            p.word_phase = words->phase;
+        }
+        return p;
     }
     std::optional<Message> corrupt(NodeId v) override { return e_.do_corrupt(v); }
     void deliver_as(NodeId byz_from, NodeId to, const Message& m) override {
@@ -92,6 +99,17 @@ public:
                              "deliver_rows_as requires corrupted senders");
         }
         e_.metrics_.byzantine_messages += e_.buf_.deliver_shared(byz_from, cells);
+    }
+    void deliver_select_as(std::span<const NodeId> byz_from, const Message& zero,
+                           const Message& one, std::span<const std::uint64_t> select) override {
+        ADBA_EXPECTS_MSG(select.size() == kern::word_count(e_.cfg_.n),
+                         "deliver_select_as needs one selector bit per receiver");
+        for (const NodeId u : byz_from) {
+            ADBA_EXPECTS(u < e_.cfg_.n);
+            ADBA_EXPECTS_MSG(!e_.buf_.is_honest(u),
+                             "deliver_select_as requires corrupted senders");
+        }
+        e_.metrics_.byzantine_messages += e_.buf_.deliver_select(byz_from, zero, one, select);
     }
     void split_as(NodeId byz_from, const std::optional<Message>& low,
                   const std::optional<Message>& high, NodeId boundary) override {

@@ -74,6 +74,16 @@ struct ObservationPlanes {
     /// meaningful for honest nodes.
     const std::uint8_t* decided = nullptr;
     const Bit* value = nullptr;
+    /// The round's send words, set only in a word-sent round
+    /// (RoundBuffer::word_round): every node with its `present` bit set is
+    /// honest and broadcast Message{kind, val bit, ...} under the one
+    /// signature (word_kind, word_phase). Bit v of word v/64; `present` is
+    /// live like `state` (a corruption clears its bit), `val` bits are
+    /// meaningful only under a `present` bit.
+    const std::uint64_t* present_words = nullptr;
+    const std::uint64_t* val_words = nullptr;
+    MsgKind word_kind{};
+    Phase word_phase = 0;
 
     explicit operator bool() const { return state != nullptr; }
 };
@@ -107,10 +117,11 @@ public:
     virtual Bit current_value(NodeId v) const = 0;
     virtual bool current_decided(NodeId v) const = 0;
     /// The same observations as plane reads, for whole-population scans
-    /// (adversary/observer.hpp wraps both forms). The per-node calls above
-    /// stay the semantic contract: an override must return planes that
-    /// answer exactly as they do. The default — and any control that
-    /// cannot offer every plane — returns the empty view.
+    /// (adversary/observer.hpp wraps both forms), plus the round's send
+    /// words when every honest send arrived as a word. The per-node calls
+    /// above stay the semantic contract: an override must return planes
+    /// that answer exactly as they do. The default — and any control that
+    /// cannot offer every byte plane — returns the empty view.
     virtual ObservationPlanes planes() const { return {}; }
 
     // ---- actions ----
@@ -134,6 +145,23 @@ public:
         ADBA_EXPECTS_MSG(cells.size() == n(), "deliver_rows_as needs one cell per receiver");
         for (const NodeId u : byz_from)
             for (NodeId to = 0; to < cells.size(); ++to) deliver_as(u, to, cells[to]);
+    }
+    /// Delivers `one` to each receiver `to` whose bit is set in the
+    /// selector plane (bit to % 64 of select[to / 64]) and `zero` to the
+    /// rest, from every Byzantine sender in `byz_from`;
+    /// select.size() must equal kern::word_count(n()), and bits past n()
+    /// are ignored. As for deliver_rows_as, the default body — deliver_as
+    /// for every (sender, receiver) pair, sender-major — is the contract.
+    /// The engine's override stores one selector for all the senders, so a
+    /// one-bit-per-receiver split costs O(n/64 + |byz_from|) and no
+    /// Message per receiver.
+    virtual void deliver_select_as(std::span<const NodeId> byz_from, const Message& zero,
+                                   const Message& one, std::span<const std::uint64_t> select) {
+        ADBA_EXPECTS_MSG(select.size() == kern::word_count(n()),
+                         "deliver_select_as needs one selector bit per receiver");
+        for (const NodeId u : byz_from)
+            for (NodeId to = 0; to < n(); ++to)
+                deliver_as(u, to, kern::bit_at(select.data(), to) != 0 ? one : zero);
     }
     /// Delivers m from `byz_from` to every node. O(1): stored as a pattern
     /// row, not n cell writes.

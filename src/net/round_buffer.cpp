@@ -12,6 +12,7 @@ void RoundBuffer::reset(NodeId n) {
     honest_.resize(n);
     state_.assign(n, 0);
     const std::size_t words = kern::word_count(n);
+    words_n_ = words;
     word_sig_.assign(words, WordSig{});
     present_.assign(words, 0);
     words_.ensure(words);
@@ -23,6 +24,7 @@ void RoundBuffer::reset(NodeId n) {
     slot_refs_.clear();
     rows_in_use_ = 0;
     slots_in_use_ = 0;
+    selects_in_use_ = 0;
 }
 
 void RoundBuffer::begin_round() {
@@ -41,6 +43,7 @@ void RoundBuffer::begin_round() {
     slot_refs_.clear();
     rows_in_use_ = 0;
     slots_in_use_ = 0;
+    selects_in_use_ = 0;
 }
 
 void RoundBuffer::set_word(std::size_t w, MsgKind kind, Phase phase,
@@ -132,30 +135,39 @@ void RoundBuffer::assign_dense_slot(std::size_t row) {
 }
 
 void RoundBuffer::make_writable(std::size_t row) {
-    if (row_mode_[row] == kRowPattern) {
-        const RowPattern p = row_pattern_[row];
-        assign_dense_slot(row);
-        const std::size_t base = static_cast<std::size_t>(row_slot_[row]) * n_;
-        for (NodeId to = 0; to < n_; ++to) {
-            const int side = to < p.boundary ? 0 : 1;
-            byz_present_[base + to] = p.present[side];
-            if (p.present[side]) byz_msgs_[base + to] = p.msg[side];
-        }
-        row_mode_[row] = kRowDense;
-        return;
-    }
-    const std::size_t shared = static_cast<std::size_t>(row_slot_[row]);
-    if (slot_refs_[shared] == 1) return;
-    // Copy-on-write: the row leaves the shared slot with its own copy.
-    // new_slot may reallocate the cell arrays, so offsets, not iterators.
+    const bool dense = row_mode_[row] == kRowDense;
+    if (dense && slot_refs_[static_cast<std::size_t>(row_slot_[row])] == 1) return;
+    // A private slot takes the row's deliveries as they read now: a
+    // pattern's two sides, a selector's templates, or a copy of a shared
+    // slot (copy-on-write). The row keeps its old form until the copy is
+    // done; new_slot may reallocate the cell arrays, so offsets, not
+    // iterators.
     const std::size_t own = new_slot();
-    --slot_refs_[shared];
+    const std::size_t base = own * n_;
+    for (NodeId to = 0; to < n_; ++to) {
+        const Message* m = row_delivery(row, to);
+        byz_present_[base + to] = m != nullptr ? 1 : 0;
+        if (m != nullptr) byz_msgs_[base + to] = *m;
+    }
+    if (dense) --slot_refs_[static_cast<std::size_t>(row_slot_[row])];
     slot_refs_[own] = 1;
     row_slot_[row] = static_cast<std::int32_t>(own);
-    const auto src = static_cast<std::ptrdiff_t>(shared * n_);
-    const auto dst = static_cast<std::ptrdiff_t>(own * n_);
-    std::copy_n(byz_msgs_.begin() + src, n_, byz_msgs_.begin() + dst);
-    std::copy_n(byz_present_.begin() + src, n_, byz_present_.begin() + dst);
+    row_mode_[row] = kRowDense;
+}
+
+template <typename CellFn>
+std::uint64_t RoundBuffer::merge_cells(std::size_t row, CellFn&& cell) {
+    make_writable(row);
+    const std::size_t base = static_cast<std::size_t>(row_slot_[row]) * n_;
+    std::uint64_t fresh = 0;
+    for (NodeId to = 0; to < n_; ++to) {
+        const Message* m = cell(to);
+        if (m == nullptr) continue;
+        if (byz_present_[base + to] == 0) ++fresh;
+        byz_present_[base + to] = 1;
+        byz_msgs_[base + to] = *m;
+    }
+    return fresh;
 }
 
 bool RoundBuffer::deliver(NodeId byz_from, NodeId to, const Message& m) {
@@ -177,6 +189,11 @@ bool RoundBuffer::deliver(NodeId byz_from, NodeId to, const Message& m) {
 Count RoundBuffer::apply_pattern(NodeId byz_from, const Message* low,
                                  const Message* high, NodeId boundary) {
     ADBA_EXPECTS(byz_from < n_ && boundary <= n_);
+    // A side that reaches no receiver is silence, and silence on both
+    // sides delivers nothing: no row, and no merge.
+    if (boundary == 0) low = nullptr;
+    if (boundary == n_) high = nullptr;
+    if (low == nullptr && high == nullptr) return 0;
     const std::int32_t prior = byz_row_of_[byz_from];
     const std::size_t row = static_cast<std::size_t>(ensure_row(byz_from));
     if (prior < 0) {
@@ -192,19 +209,9 @@ Count RoundBuffer::apply_pattern(NodeId byz_from, const Message* low,
         if (high) fresh += n_ - boundary;
         return fresh;
     }
-    // Merge with earlier deliveries from the same sender: materialize and
-    // overwrite cellwise, counting newly covered slots.
-    make_writable(row);
-    const std::size_t base = static_cast<std::size_t>(row_slot_[row]) * n_;
-    Count fresh = 0;
-    for (NodeId to = 0; to < n_; ++to) {
-        const Message* m = to < boundary ? low : high;
-        if (m == nullptr) continue;
-        if (byz_present_[base + to] == 0) ++fresh;
-        byz_present_[base + to] = 1;
-        byz_msgs_[base + to] = *m;
-    }
-    return fresh;
+    // Merge with earlier deliveries from the same sender.
+    return static_cast<Count>(
+        merge_cells(row, [&](NodeId to) { return to < boundary ? low : high; }));
 }
 
 std::uint64_t RoundBuffer::deliver_shared(std::span<const NodeId> byz_from,
@@ -217,15 +224,10 @@ std::uint64_t RoundBuffer::deliver_shared(std::span<const NodeId> byz_from,
         const std::int32_t prior = byz_row_of_[u];
         if (prior >= 0) {
             // A sender listed twice already points at this call's cells.
-            if (shared >= 0 && row_slot_[prior] == shared) continue;
-            const auto row = static_cast<std::size_t>(prior);
-            make_writable(row);
-            const std::size_t base = static_cast<std::size_t>(row_slot_[row]) * n_;
-            for (NodeId to = 0; to < n_; ++to) {
-                if (byz_present_[base + to] == 0) ++fresh;
-                byz_present_[base + to] = 1;
-                byz_msgs_[base + to] = cells[to];
-            }
+            if (shared >= 0 && row_mode_[prior] == kRowDense && row_slot_[prior] == shared)
+                continue;
+            fresh += merge_cells(static_cast<std::size_t>(prior),
+                                 [&](NodeId to) { return &cells[to]; });
             continue;
         }
         if (shared < 0) {
@@ -238,6 +240,46 @@ std::uint64_t RoundBuffer::deliver_shared(std::span<const NodeId> byz_from,
         const std::size_t row = static_cast<std::size_t>(ensure_row(u));
         row_slot_[row] = shared;
         ++slot_refs_[static_cast<std::size_t>(shared)];
+        fresh += n_;
+    }
+    return fresh;
+}
+
+std::uint64_t RoundBuffer::deliver_select(std::span<const NodeId> byz_from,
+                                          const Message& zero, const Message& one,
+                                          std::span<const std::uint64_t> select) {
+    ADBA_EXPECTS_MSG(select.size() == words_n_,
+                     "deliver_select needs one selector bit per receiver");
+    const Message msg[2] = {zero, one};
+    std::uint64_t fresh = 0;
+    std::int32_t shared = -1;  // this call's selector, stored on first use
+    for (const NodeId u : byz_from) {
+        ADBA_EXPECTS(u < n_);
+        const std::int32_t prior = byz_row_of_[u];
+        if (prior >= 0) {
+            // A sender listed twice already points at this call's selector.
+            if (shared >= 0 && row_mode_[prior] == kRowSelect && row_slot_[prior] == shared)
+                continue;
+            fresh += merge_cells(static_cast<std::size_t>(prior), [&](NodeId to) {
+                return &msg[kern::bit_at(select.data(), to)];
+            });
+            continue;
+        }
+        if (shared < 0) {
+            const std::size_t s = selects_in_use_++;
+            if (selects_.size() <= s) selects_.resize(s + 1);
+            if (select_words_.size() < (s + 1) * words_n_)
+                select_words_.resize((s + 1) * words_n_);
+            std::uint64_t* bits = select_words_.data() + s * words_n_;
+            std::copy(select.begin(), select.end(), bits);
+            if (const NodeId tail = n_ % kern::kWordBits; tail != 0)
+                bits[words_n_ - 1] &= (std::uint64_t{1} << tail) - 1;
+            selects_[s] = RowSelect{{zero, one}, kern::popcount_words(bits, words_n_)};
+            shared = static_cast<std::int32_t>(s);
+        }
+        const std::size_t row = static_cast<std::size_t>(ensure_row(u));
+        row_mode_[row] = kRowSelect;
+        row_slot_[row] = shared;
         fresh += n_;
     }
     return fresh;
@@ -469,6 +511,22 @@ void RoundTally::for_each_weighted_slot(NodeId first, NodeId last, Fn&& sweep) c
             sweep(buf_->slot_messages(slot), buf_->slot_presence(slot), slot_weight_[slot]);
 }
 
+template <typename Fn>
+void RoundTally::for_each_weighted_select(NodeId first, NodeId last, Fn&& fold) const {
+    const std::size_t selects = buf_->selects_in_use();
+    if (selects == 0) return;
+    select_weight_.assign(selects, 0);
+    for (std::size_t r = 0; r < buf_->rows_in_use(); ++r) {
+        const NodeId u = buf_->row_sender(r);
+        if (u < first || u >= last || buf_->row_mode(r) != RoundBuffer::kRowSelect)
+            continue;
+        ++select_weight_[buf_->row_select(r)];
+    }
+    for (std::size_t s = 0; s < selects; ++s)
+        if (select_weight_[s] != 0)
+            fold(buf_->select(s), buf_->select_words(s), select_weight_[s]);
+}
+
 const std::array<Count, 2>* RoundTally::val_delta_plane(MsgKind kind, Phase phase,
                                                         bool require_flag) const {
     const std::size_t rows = buf_->rows_in_use();
@@ -494,16 +552,28 @@ const std::array<Count, 2>* RoundTally::val_delta_plane(MsgKind kind, Phase phas
         return p.present[side] && reaches && matches(p.msg[side]);
     };
 
-    // Does any Byzantine delivery match? Pattern sides answer in O(1); a
-    // dense slot is read up to its first matching cell. With no match
-    // there is nothing to build: the plane would be all zeros.
-    bool any_pattern = false;
-    for (std::size_t r = 0; r < rows && !any_pattern; ++r) {
-        if (buf_->row_mode(r) != RoundBuffer::kRowPattern) continue;
-        const RoundBuffer::RowPattern& p = buf_->row_pattern(r);
-        any_pattern = side_matches(p, 0) || side_matches(p, 1);
+    // A selector template counts when its side reaches a receiver.
+    const auto template_matches = [&](const RoundBuffer::RowSelect& s, int bit) {
+        const bool reaches = bit == 0 ? s.ones < n : s.ones > 0;
+        return reaches && matches(s.msg[bit]);
+    };
+
+    // Does any Byzantine delivery match? Pattern sides and selector
+    // templates answer in O(1); a dense slot is read up to its first
+    // matching cell. With no match there is nothing to build: the plane
+    // would be all zeros.
+    bool any_pattern = false, any_select = false;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::uint8_t mode = buf_->row_mode(r);
+        if (mode == RoundBuffer::kRowPattern && !any_pattern) {
+            const RoundBuffer::RowPattern& p = buf_->row_pattern(r);
+            any_pattern = side_matches(p, 0) || side_matches(p, 1);
+        } else if (mode == RoundBuffer::kRowSelect && !any_select) {
+            const RoundBuffer::RowSelect& s = buf_->select(buf_->row_select(r));
+            any_select = template_matches(s, 0) || template_matches(s, 1);
+        }
     }
-    vc.any = any_pattern;
+    vc.any = any_pattern || any_select;
     if (!vc.any) {
         for_each_weighted_slot(0, n, [&](const Message* msgs, const std::uint8_t* present,
                                          Count) {
@@ -545,6 +615,18 @@ const std::array<Count, 2>* RoundTally::val_delta_plane(MsgKind kind, Phase phas
         for (NodeId v = 0; v < n; ++v)
             if (present[v] != 0 && matches(msgs[v])) vc.delta[v][msgs[v].val & 1] += w;
     });
+    if (any_select) {
+        for_each_weighted_select(0, n, [&](const RoundBuffer::RowSelect& s,
+                                           const std::uint64_t* bits, Count w) {
+            const bool hit[2] = {template_matches(s, 0), template_matches(s, 1)};
+            if (!hit[0] && !hit[1]) return;
+            const int idx[2] = {s.msg[0].val & 1, s.msg[1].val & 1};
+            for (NodeId v = 0; v < n; ++v) {
+                const unsigned bit = kern::bit_at(bits, v);
+                if (hit[bit]) vc.delta[v][idx[bit]] += w;
+            }
+        });
+    }
     return vc.delta.data();
 }
 
@@ -618,7 +700,62 @@ const std::int64_t* RoundTally::coin_delta_plane(MsgKind kind, Phase phase,
             cc.delta[v] += weight * d;
         }
     });
+    // Selectors fold from their bits: each receiver gets one of two
+    // weighted template signs, and no Message is read per receiver.
+    for_each_weighted_select(first, last, [&](const RoundBuffer::RowSelect& s,
+                                              const std::uint64_t* bits, Count w) {
+        const auto weight = static_cast<std::int64_t>(w);
+        const std::int64_t d0 = s.ones < n ? weight * sign_of(s.msg[0]) : 0;
+        const std::int64_t d1 = s.ones > 0 ? weight * sign_of(s.msg[1]) : 0;
+        if (d0 == 0 && d1 == 0) return;
+        touch();
+        std::int64_t* delta = cc.delta.data();
+        for (std::size_t wi = 0; wi < kern::word_count(n); ++wi) {
+            const std::uint64_t word = bits[wi];
+            const NodeId v0 = static_cast<NodeId>(wi * kern::kWordBits);
+            const NodeId v1 = std::min<NodeId>(n, v0 + static_cast<NodeId>(kern::kWordBits));
+            for (NodeId v = v0; v < v1; ++v)
+                delta[v] += ((word >> (v - v0)) & 1) != 0 ? d1 : d0;
+        }
+    });
     return cc.any ? cc.delta.data() : nullptr;
+}
+
+std::optional<RoundTally::CoinSelect> RoundTally::coin_delta_select(
+    MsgKind kind, Phase phase, bool check_phase, NodeId first, NodeId last) const {
+    const NodeId n = buf_->n();
+    const auto sign_of = [&](const Message& m) -> std::int64_t {
+        if (m.kind != kind || (check_phase && m.phase != phase)) return 0;
+        return m.coin > 0 ? 1 : m.coin < 0 ? -1 : 0;
+    };
+    CoinSelect out;
+    std::int64_t weight = 0;
+    std::size_t chosen = 0;
+    for (std::size_t r = 0; r < buf_->rows_in_use(); ++r) {
+        const NodeId u = buf_->row_sender(r);
+        if (u < first || u >= last) continue;
+        const std::uint8_t mode = buf_->row_mode(r);
+        if (mode == RoundBuffer::kRowDense) return std::nullopt;
+        if (mode == RoundBuffer::kRowPattern) {
+            const RoundBuffer::RowPattern& p = buf_->row_pattern(r);
+            const bool low = p.present[0] && p.boundary > 0 && sign_of(p.msg[0]) != 0;
+            const bool high = p.present[1] && p.boundary < n && sign_of(p.msg[1]) != 0;
+            if (low || high) return std::nullopt;
+            continue;
+        }
+        const std::size_t s = buf_->row_select(r);
+        const RoundBuffer::RowSelect& sel = buf_->select(s);
+        const std::int64_t d0 = sel.ones < n ? sign_of(sel.msg[0]) : 0;
+        const std::int64_t d1 = sel.ones > 0 ? sign_of(sel.msg[1]) : 0;
+        if (d0 == 0 && d1 == 0) continue;
+        if (weight > 0 && s != chosen) return std::nullopt;
+        chosen = s;
+        ++weight;
+        out.select = buf_->select_words(s);
+        out.delta[0] = weight * d0;
+        out.delta[1] = weight * d1;
+    }
+    return out;
 }
 
 std::int64_t RoundTally::coin_delta(MsgKind kind, Phase phase, bool check_phase,

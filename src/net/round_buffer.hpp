@@ -12,12 +12,18 @@
 //    A row is either Dense (n per-receiver cells) or a Pattern (threshold
 //    equivocation: one message below a receiver boundary, another above),
 //    so the classic split/broadcast attacks cost O(1) per sender per round
-//    instead of O(n). Dense rows point at dense *slots* (n-cell blocks),
-//    and one slot may back many rows: deliver_shared fills a single slot
-//    with a per-receiver vector and points every fresh listed sender at it,
-//    so k senders equivocating identically cost O(n + k), not O(k * n).
-//    A shared slot is copy-on-write — the first deliver/apply_pattern merge
-//    into one of its rows gives that row a private copy first.
+//    instead of O(n), or a Select row (two template messages and an n-bit
+//    selector plane: receiver `to` gets the second template where bit `to`
+//    is set, the first elsewhere). Dense rows point at dense *slots*
+//    (n-cell blocks), and one slot may back many rows: deliver_shared
+//    fills a single slot with a per-receiver vector and points every fresh
+//    listed sender at it, so k senders equivocating identically cost
+//    O(n + k), not O(k * n). deliver_select does the same with one stored
+//    selector, so a one-bit-per-receiver equivocation (the worst-case coin
+//    split) costs O(n/64 + k) and writes no Message per receiver. Shared
+//    storage is copy-on-write: the first deliver, apply_pattern or
+//    deliver_shared merge into a row on a shared slot or a selector gives
+//    that row a private dense slot first.
 //
 //    Honest sends arrive in one of two forms. set_broadcast writes one
 //    sender's Message (per-node writers: the PerNodeBatch adapter, Ben-Or,
@@ -37,9 +43,12 @@
 //    are receiver-independent, so their (kind, phase) histogram is computed
 //    ONCE per round in O(n); Byzantine-row deltas are aggregated once per
 //    query signature into per-receiver arrays (O(n + rows) for pattern
-//    rows, O(n) per distinct dense slot, each slot weighted by the number
-//    of in-range rows that reference it), dropping honest-path receives
-//    from O(n²) per round to O(n).
+//    rows, O(n) per distinct dense slot or selector, each weighted by the
+//    number of in-range rows that reference it; a selector folds bits and
+//    reads no Message, and one whose templates miss the query costs O(1)),
+//    dropping honest-path receives from O(n²) per round to O(n). A
+//    committee coin whose Byzantine part comes from one selector is also
+//    answered in two-valued form (coin_delta_select), with no plane.
 //
 //  * ReceiveView — the receiver's window onto one round, now a concrete
 //    `final` class (non-virtual `from()`, bulk `for_each_delivery`, and the
@@ -94,6 +103,7 @@ public:
     /// Byzantine row representations.
     static constexpr std::uint8_t kRowDense = 0;    ///< n per-receiver cells
     static constexpr std::uint8_t kRowPattern = 1;  ///< threshold split
+    static constexpr std::uint8_t kRowSelect = 2;   ///< two templates + selector bits
 
     /// Threshold-equivocation row: msg[0] to receivers < boundary, msg[1]
     /// to the rest; present[side] == 0 means silence for that side.
@@ -101,6 +111,13 @@ public:
         Message msg[2];
         std::uint8_t present[2] = {0, 0};
         NodeId boundary = 0;
+    };
+    /// Selector payload shared by the rows of one deliver_select call:
+    /// msg[bit] to each receiver, bit = its selector bit. `ones` counts the
+    /// set selector bits (bits past n are cleared).
+    struct RowSelect {
+        Message msg[2];
+        NodeId ones = 0;
     };
 
     /// Sizes for a run of n nodes; everyone honest, no rows, nothing present.
@@ -182,6 +199,16 @@ public:
     /// previously-empty (sender, receiver) slots now covered.
     std::uint64_t deliver_shared(std::span<const NodeId> byz_from,
                                  std::span<const Message> cells);
+    /// `one` where bit `to` of `select` is set and `zero` elsewhere, from
+    /// every sender in `byz_from` to every receiver `to`
+    /// (select.size() == kern::word_count(n); bits past n are ignored): the
+    /// same deliveries as the per-pair deliver() loop, in O(n/64 +
+    /// |byz_from|) when the senders have no row yet — one selector is
+    /// stored and shared by all of them. Senders that already delivered
+    /// this round merge cellwise. Returns the number of previously-empty
+    /// (sender, receiver) slots now covered.
+    std::uint64_t deliver_select(std::span<const NodeId> byz_from, const Message& zero,
+                                 const Message& one, std::span<const std::uint64_t> select);
 
     // ---- beat 3: receiver probes (the hot path) ----
     const Message* from(NodeId receiver, NodeId sender) const {
@@ -202,6 +229,16 @@ public:
     std::size_t row_slot(std::size_t row) const {
         return static_cast<std::size_t>(row_slot_[row]);
     }
+    /// Selector backing a select row (several rows may share one).
+    std::size_t row_select(std::size_t row) const {
+        return static_cast<std::size_t>(row_slot_[row]);
+    }
+    std::size_t selects_in_use() const { return selects_in_use_; }
+    const RowSelect& select(std::size_t s) const { return selects_[s]; }
+    /// A selector's kern::word_count(n) bit words, indexed by receiver.
+    const std::uint64_t* select_words(std::size_t s) const {
+        return select_words_.data() + s * words_n_;
+    }
     std::size_t slots_in_use() const { return slots_in_use_; }
     /// A dense slot's n cells and presence bytes, indexed by receiver.
     const Message* slot_messages(std::size_t slot) const {
@@ -211,14 +248,19 @@ public:
         return byz_present_.data() + slot * n_;
     }
     const Message* row_delivery(std::size_t row, NodeId receiver) const {
-        if (row_mode_[row] == kRowDense) {
-            const std::size_t off =
-                static_cast<std::size_t>(row_slot_[row]) * n_ + receiver;
+        // Pattern rows go first: their probe keeps its single mode test.
+        const std::uint8_t mode = row_mode_[row];
+        if (mode == kRowPattern) {
+            const RowPattern& p = row_pattern_[row];
+            const int side = receiver < p.boundary ? 0 : 1;
+            return p.present[side] ? &p.msg[side] : nullptr;
+        }
+        const auto idx = static_cast<std::size_t>(row_slot_[row]);
+        if (mode == kRowDense) {
+            const std::size_t off = idx * n_ + receiver;
             return byz_present_[off] ? &byz_msgs_[off] : nullptr;
         }
-        const RowPattern& p = row_pattern_[row];
-        const int side = receiver < p.boundary ? 0 : 1;
-        return p.present[side] ? &p.msg[side] : nullptr;
+        return &selects_[idx].msg[kern::bit_at(select_words_.data() + idx * words_n_, receiver)];
     }
     const std::uint8_t* state_plane() const { return state_.data(); }
     const Message* honest_plane() const { return honest_.data(); }
@@ -232,10 +274,15 @@ private:
     /// rows (every split/broadcast attack) costs O(t) bookkeeping, not an
     /// O(t * n) cell arena.
     void assign_dense_slot(std::size_t row);
-    /// Makes an existing row's cells safe to write in place: a pattern row
-    /// is materialized into its own dense slot, and a row on a shared slot
-    /// gets a private copy (copy-on-write).
+    /// Makes an existing row's cells safe to write in place: a pattern or
+    /// select row is materialized into its own dense slot, and a row on a
+    /// shared slot gets a private copy (copy-on-write).
     void make_writable(std::size_t row);
+    /// Merges into an existing row: make_writable, then cell(to) (a
+    /// Message pointer, nullptr = leave the cell) into every receiver's
+    /// cell. Returns the number of previously-empty cells now covered.
+    template <typename CellFn>
+    std::uint64_t merge_cells(std::size_t row, CellFn&& cell);
 
     NodeId n_ = 0;
     std::vector<Message> honest_;        ///< [n] honest broadcasts
@@ -252,14 +299,19 @@ private:
     kern::PackedPlanes words_;             ///< [n/64] set_word masks + byz
     std::vector<std::int32_t> byz_row_of_;  ///< [n] sender -> row, or -1
     std::vector<NodeId> row_sender_;     ///< [rows] row -> sender
-    std::vector<std::uint8_t> row_mode_; ///< [rows] kRowDense / kRowPattern
-    std::vector<std::int32_t> row_slot_; ///< [rows] dense slot index, or -1
+    std::vector<std::uint8_t> row_mode_; ///< [rows] kRowDense / kRowPattern / kRowSelect
+    /// [rows] dense slot (dense rows), selector (select rows), or -1
+    std::vector<std::int32_t> row_slot_;
     std::vector<std::uint32_t> slot_refs_;  ///< [slots] rows on each slot
     std::vector<RowPattern> row_pattern_;  ///< [rows] pattern payloads
     std::vector<Message> byz_msgs_;      ///< [slots * n] dense delivery cells
     std::vector<std::uint8_t> byz_present_;  ///< [slots * n]
+    std::vector<RowSelect> selects_;           ///< [selects] select row payloads
+    std::vector<std::uint64_t> select_words_;  ///< [selects * words_n_]
+    std::size_t words_n_ = 0;                  ///< kern::word_count(n)
     std::size_t rows_in_use_ = 0;
     std::size_t slots_in_use_ = 0;
+    std::size_t selects_in_use_ = 0;
 };
 
 /// Adapts a RoundBuffer behind the virtual DeliverySource interface — the
@@ -372,6 +424,19 @@ public:
     /// reaches a receiver (callers read nullptr as all-zero deltas).
     const std::int64_t* coin_delta_plane(MsgKind kind, Phase phase, bool check_phase,
                                          NodeId first, NodeId last) const;
+    /// coin_delta_plane in two-valued form: receiver v's delta is
+    /// delta[bit v of `select`] (select == nullptr: delta[0] everywhere).
+    struct CoinSelect {
+        const std::uint64_t* select = nullptr;
+        std::int64_t delta[2] = {0, 0};
+    };
+    /// The same deltas as coin_delta_plane, in O(rows) and with no n-entry
+    /// plane, when every in-range Byzantine coin that reaches a receiver
+    /// comes from select rows on one selector (or none comes at all);
+    /// nullopt otherwise — then read coin_delta_plane. Dense rows in range
+    /// always answer nullopt (their cells are not read here).
+    std::optional<CoinSelect> coin_delta_select(MsgKind kind, Phase phase, bool check_phase,
+                                                NodeId first, NodeId last) const;
     /// Per-receiver Byzantine coin-sum delta over senders in [first, last).
     std::int64_t coin_delta(MsgKind kind, Phase phase, bool check_phase,
                             NodeId first, NodeId last, NodeId receiver) const;
@@ -417,6 +482,11 @@ private:
     /// swept once instead of k times.
     template <typename Fn>
     void for_each_weighted_slot(NodeId first, NodeId last, Fn&& sweep) const;
+    /// The same over selectors: fold(select, words, weight) once per
+    /// selector referenced by a select row whose sender lies in
+    /// [first, last).
+    template <typename Fn>
+    void for_each_weighted_select(NodeId first, NodeId last, Fn&& fold) const;
 
     const RoundBuffer* buf_ = nullptr;
     bool packed_ = false;
@@ -434,6 +504,7 @@ private:
     mutable std::size_t coin_caches_in_use_ = 0;
     mutable WordHistogram byz_words_scratch_;  ///< recycled by byz_word_deltas
     mutable std::vector<Count> slot_weight_;   ///< for_each_weighted_slot scratch
+    mutable std::vector<Count> select_weight_; ///< for_each_weighted_select scratch
 };
 
 /// Receiver-specific view of one round's deliveries — concrete and final so

@@ -172,6 +172,23 @@ std::unique_ptr<net::FusedProtocol> fused_skeleton(NodeId n, Count t, Count phas
                                                  std::move(coin));
 }
 
+/// The arms of a committee-coin protocol (core::CommitteeCoinNode and its
+/// batch) whose params P carry n, t, phases and a block schedule, in kMode.
+template <typename P, AgreementMode kMode>
+void arm_committee_nodes(const P& p, const Inputs& in, const SeedTree& seeds,
+                         net::NodePool& pool) {
+    core::arm_committee_nodes({p.n, p.t, p.phases, kMode}, p.schedule, in, seeds, pool);
+}
+template <typename P, AgreementMode kMode>
+void arm_committee_batch(const P& p, const Inputs& in, const SeedTree& seeds, BatchSlot& slot) {
+    core::arm_committee_batch({p.n, p.t, p.phases, kMode}, p.schedule, in, seeds, slot);
+}
+template <typename P, AgreementMode kMode>
+std::unique_ptr<net::FusedProtocol> committee_fused(const P& p) {
+    return fused_skeleton(p.n, p.t, p.phases, kMode,
+                          {core::FusedCoinSpec::Kind::Committee, p.schedule, nullptr});
+}
+
 /// Algorithm 3 (the paper) in `kMode`.
 template <AgreementMode kMode>
 ProtocolDecl<core::AgreementParams> algorithm3() {
@@ -182,19 +199,10 @@ ProtocolDecl<core::AgreementParams> algorithm3() {
                     return BudgetHint{p.phases, core::round_cap(core::max_rounds_whp(p), kMode)};
                 },
             .schedule = [](const P& p) { return p.schedule; },
-            .arm_nodes =
-                [](const P& p, const Inputs& in, const SeedTree& seeds, net::NodePool& pool) {
-                    core::arm_algorithm3_nodes(p, kMode, in, seeds, pool);
-                },
-            .arm_batch =
-                [](const P& p, const Inputs& in, const SeedTree& seeds, BatchSlot& slot) {
-                    core::arm_algorithm3_batch(p, kMode, in, seeds, slot);
-                },
+            .arm_nodes = arm_committee_nodes<P, kMode>,
+            .arm_batch = arm_committee_batch<P, kMode>,
             .sparse = true,
-            .fused = [](const P& p) {
-                return fused_skeleton(p.n, p.t, p.phases, kMode,
-                                      {core::FusedCoinSpec::Kind::Committee, p.schedule, nullptr});
-            }};
+            .fused = committee_fused<P, kMode>};
 }
 
 /// Chor-Coan with the committee sizing `compute` picks (rushing or classic).
@@ -205,19 +213,10 @@ ProtocolDecl<base::ChorCoanParams> chor_coan() {
     return {.params = [](const Scenario& s) { return compute(s.n, s.t, s.tuning); },
             .budget = [](const P& p) { return BudgetHint{p.phases, base::max_rounds_whp(p)}; },
             .schedule = [](const P& p) { return p.schedule; },
-            .arm_nodes =
-                [](const P& p, const Inputs& in, const SeedTree& seeds, net::NodePool& pool) {
-                    base::arm_chor_coan_nodes(p, kWhp, in, seeds, pool);
-                },
-            .arm_batch =
-                [](const P& p, const Inputs& in, const SeedTree& seeds, BatchSlot& slot) {
-                    base::arm_chor_coan_batch(p, kWhp, in, seeds, slot);
-                },
+            .arm_nodes = arm_committee_nodes<P, kWhp>,
+            .arm_batch = arm_committee_batch<P, kWhp>,
             .sparse = true,
-            .fused = [](const P& p) {
-                return fused_skeleton(p.n, p.t, p.phases, kWhp,
-                                      {core::FusedCoinSpec::Kind::Committee, p.schedule, nullptr});
-            }};
+            .fused = committee_fused<P, kWhp>};
 }
 
 ProtocolDecl<base::RabinDealerParams> rabin_dealer() {

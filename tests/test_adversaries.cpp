@@ -219,8 +219,9 @@ TEST(WorstCase, SpendsNothingAgainstUnanimousInputs) {
     const SeedTree seeds(123);
     const std::vector<Bit> inputs(16, 1);
     net::NodePool nodes;
-    core::arm_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases, inputs, seeds,
-                               nodes);
+    core::arm_committee_nodes({params.n, params.t, params.phases,
+                               core::AgreementMode::WhpFixedPhases},
+                              params.schedule, inputs, seeds, nodes);
     WorstCaseAdversary adv({5, 5, params.schedule, true});
     net::Engine eng({16, 5, core::max_rounds_whp(params), false}, std::move(nodes),
                     adv);

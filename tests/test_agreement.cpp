@@ -105,8 +105,9 @@ void run_with_lemma3_observer(NodeId n, Count t, std::uint64_t seed) {
     const auto params = core::AgreementParams::compute(n, t);
     const auto inputs = make_inputs(InputPattern::Split, n, seeds);
     net::NodePool nodes;
-    core::arm_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases, inputs, seeds,
-                               nodes);
+    core::arm_committee_nodes({params.n, params.t, params.phases,
+                               core::AgreementMode::WhpFixedPhases},
+                              params.schedule, inputs, seeds, nodes);
     adv::WorstCaseAdversary adversary({t, t, params.schedule, true});
     net::Engine engine({n, t, core::max_rounds_whp(params), false}, std::move(nodes),
                        adversary);
@@ -148,8 +149,9 @@ TEST(Lemma4, FinisherForcesTerminationWithinTwoPhases) {
         const auto params = core::AgreementParams::compute(n, t);
         const auto inputs = make_inputs(InputPattern::Random, n, seeds);
         net::NodePool nodes;
-        core::arm_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases, inputs,
-                                   seeds, nodes);
+        core::arm_committee_nodes({params.n, params.t, params.phases,
+                                   core::AgreementMode::WhpFixedPhases},
+                                  params.schedule, inputs, seeds, nodes);
         std::vector<const core::RabinSkeletonNode*> raw;
         for (const auto& p : nodes)
             raw.push_back(dynamic_cast<const core::RabinSkeletonNode*>(p.get()));

@@ -2,8 +2,8 @@
 // BIT-IDENTICAL to the reference virtual-dispatch path (per-sender loops
 // over a DeliverySource) for every compatible (protocol, adversary) registry
 // pair, at any thread count; plus pattern-row mechanics, shared dense rows
-// (deliver_shared / RoundControl::deliver_rows_as) against their per-cell
-// expansion, word sends (RoundBuffer::set_word) against the pack pass,
+// and selector rows (deliver_shared / deliver_select and their
+// RoundControl forms) against their per-cell expansion, word sends (RoundBuffer::set_word) against the pack pass,
 // uniform-count receive against the per-node path, and the
 // halted-receiver message-accounting contract.
 #include <gtest/gtest.h>
@@ -18,9 +18,11 @@
 
 #include "adversary/coin_ruin.hpp"
 #include "adversary/observer.hpp"
+#include "adversary/worst_case.hpp"
 #include "core/common_coin.hpp"
 #include "core/skeleton_batch.hpp"
 #include "core/multivalued.hpp"
+#include "core/params.hpp"
 #include "net/engine.hpp"
 #include "net/fused_plane.hpp"
 #include "net/sparse_plane.hpp"
@@ -410,6 +412,15 @@ void expect_tallies_eq(const net::RoundBuffer& shared, const net::RoundBuffer& e
                     ASSERT_EQ(plane_at(a, v), plane_at(b, v))
                         << "coin receiver " << v << " senders [" << first << ", " << last
                         << ")";
+                // The two-valued form, where it answers, is the same plane.
+                const auto two = ts.coin_delta_select(kind, ph, check_phase, first, last);
+                if (!two) continue;
+                for (NodeId v = 0; v < n; ++v) {
+                    const auto bit = two->select == nullptr ? 0 : (two->select[v / 64] >> (v % 64)) & 1;
+                    ASSERT_EQ(two->delta[bit], plane_at(b, v))
+                        << "two-valued coin receiver " << v << " senders [" << first << ", "
+                        << last << ")";
+                }
             }
         }
         for (NodeId v = 0; v < n; ++v) {
@@ -450,6 +461,7 @@ TEST(DeliveryPlaneShared, RandomOpsMatchPerCellExpansion) {
             };
             std::vector<NodeId> last_shared;  // senders of the latest shared call
             std::vector<Message> cells(n);
+            std::vector<std::uint64_t> select(net::kern::word_count(n));
             const int ops = 2 + static_cast<int>(rng.below(10));
             for (int op = 0; op < ops; ++op) {
                 const double kind = rng.uniform01();
@@ -472,7 +484,7 @@ TEST(DeliveryPlaneShared, RandomOpsMatchPerCellExpansion) {
                         if (const Message* m = to < boundary ? lo : hi)
                             fresh += expanded.deliver(u, to, *m) ? 1 : 0;
                     ASSERT_EQ(shared.apply_pattern(u, lo, hi, boundary), fresh);
-                } else {
+                } else if (kind < 0.75) {
                     // Random senders with repeats; some already hold rows.
                     last_shared.clear();
                     const std::size_t k = 1 + rng.below(byz.size() + 1);
@@ -483,6 +495,27 @@ TEST(DeliveryPlaneShared, RandomOpsMatchPerCellExpansion) {
                         for (NodeId to = 0; to < n; ++to)
                             fresh += expanded.deliver(s, to, cells[to]) ? 1 : 0;
                     ASSERT_EQ(shared.deliver_shared(last_shared, cells), fresh);
+                } else {
+                    // Selector rows: the same sender draw, and a selector
+                    // that is all zero, all one, or random — with random
+                    // bits past n, which must be ignored.
+                    last_shared.clear();
+                    const std::size_t k = 1 + rng.below(byz.size() + 1);
+                    for (std::size_t i = 0; i < k; ++i) last_shared.push_back(pick(byz));
+                    const std::uint64_t shape = rng.below(3);
+                    for (auto& word : select)
+                        word = shape == 0 ? 0 : shape == 1 ? ~std::uint64_t{0} : rng();
+                    const Message zero = random_message(rng);
+                    const Message one = random_message(rng);
+                    std::uint64_t fresh = 0;
+                    for (const NodeId s : last_shared)
+                        for (NodeId to = 0; to < n; ++to)
+                            fresh += expanded.deliver(s, to,
+                                                      (select[to / 64] >> (to % 64)) & 1 ? one
+                                                                                          : zero)
+                                         ? 1
+                                         : 0;
+                    ASSERT_EQ(shared.deliver_select(last_shared, zero, one, select), fresh);
                 }
             }
             ASSERT_EQ(shared.rows_in_use(), expanded.rows_in_use());
@@ -548,9 +581,10 @@ struct PerPairCounts {
     std::uint64_t observations = 0;
 };
 
-/// Forwards every RoundControl call except deliver_rows_as and planes(). So
-/// deliver_rows_as runs the base class's per-pair deliver_as loop, and
-/// planes() returns the empty view, which leaves the adversary on the
+/// Forwards every RoundControl call except deliver_rows_as,
+/// deliver_select_as and planes(). So both shared deliveries run the base
+/// class's per-pair deliver_as loop, and planes() returns the empty view
+/// (no byte planes, no send words), which leaves the adversary on the
 /// per-node observation calls. Both are the semantic spec.
 class PerPairControl final : public net::RoundControl {
 public:
@@ -716,7 +750,8 @@ TEST(DeliveryPlaneShared, WorstCaseRowsMatchPerPairDefault) {
                       direct.run.metrics.byzantine_messages);
             EXPECT_EQ(runner.metrics.corruptions, direct.run.metrics.corruptions);
         }
-        // The SPLIT ruin ran: it is the strategy's only per-cell delivery.
+        // The SPLIT ruin ran: its selector is the strategy's only per-cell
+        // delivery.
         EXPECT_GT(per_pair_calls, 0u) << s.describe();
     }
 }
@@ -1049,6 +1084,276 @@ TEST(PlaneView, PerNodeBatchOffersNoPlanes) {
     net::Engine eng({4, 0, 2, false}, inbox_nodes(4, 2, nullptr), adv);
     eng.run();
     EXPECT_EQ(acts, 2);
+}
+
+TEST(PlaneView, WorstCaseWordPlanesMatchPerNodeCalls) {
+    // n = 4097: the last plane word holds one node, so every word scan
+    // meets a partial tail. Split and random inputs reach both the round-1
+    // quorum block and the round-2 coin split.
+    for (const char* protocol : {"ours", "chor-coan-rushing"}) {
+        for (const char* inputs : {"split", "random"}) {
+            const std::string spec = std::string("protocol=") + protocol +
+                                     " adversary=worst-case n=4097 t=64 inputs=" + inputs;
+            const sim::ScenarioPlan plan = sim::validate(sim::Scenario::parse(spec));
+            for (std::uint64_t seed = 1; seed <= 2; ++seed)
+                expect_plane_view_matches_per_node(
+                    [&] { return binary_batch_trial(plan, seed); },
+                    spec + " seed " + std::to_string(seed));
+        }
+    }
+}
+
+/// A hand-built adversary beat: n nodes' state, halted, decided and value
+/// bytes and their broadcasts. With `offer_planes` the control hands them
+/// out through planes() — plus the send words when every broadcast shares
+/// one signature, as a word-sent round does — and otherwise only through
+/// the per-node calls (the fallback's contract, as in Engine::Ctl).
+/// Corruptions and deliveries are recorded in call order;
+/// deliver_select_as keeps the base class's per-pair expansion.
+class ScriptedRound final : public net::RoundControl {
+public:
+    ScriptedRound(NodeId n, Round round, Count budget, bool offer_planes)
+        : n_(n), round_(round), budget_(budget), offer_planes_(offer_planes),
+          state_(n, 0), halted_(n, 0), decided_(n, 0), value_(n, 0), sent_(n),
+          present_(net::kern::word_count(n), 0), val_(net::kern::word_count(n), 0) {}
+
+    /// Node v: honest with broadcast `m` (nullopt = silent), or Byzantine.
+    void set(NodeId v, std::optional<Message> m, bool halted, bool decided, Bit value) {
+        state_[v] = m ? net::RoundBuffer::kPresent : 0;
+        if (m) sent_[v] = *m;
+        halted_[v] = halted ? 1 : 0;
+        decided_[v] = decided ? 1 : 0;
+        value_[v] = value;
+    }
+    void set_byzantine(NodeId v) { state_[v] = net::RoundBuffer::kByzantine; }
+    /// Builds the send words; call once every node is set.
+    void seal() {
+        words_ = true;
+        bool first = true;
+        for (NodeId v = 0; v < n_; ++v) {
+            if (state_[v] != net::RoundBuffer::kPresent) continue;
+            const Message& m = sent_[v];
+            if (first) {
+                kind_ = m.kind;
+                phase_ = m.phase;
+                first = false;
+            }
+            words_ = words_ && m.kind == kind_ && m.phase == phase_;
+            present_[v / 64] |= std::uint64_t{1} << (v % 64);
+            val_[v / 64] |= std::uint64_t{m.val & 1u} << (v % 64);
+        }
+    }
+
+    Round round() const override { return round_; }
+    NodeId n() const override { return n_; }
+    Count budget_left() const override { return budget_ - static_cast<Count>(corrupted.size()); }
+    bool is_honest(NodeId v) const override {
+        EXPECT_LT(v, n_);
+        return (state_[v] & net::RoundBuffer::kByzantine) == 0;
+    }
+    bool is_halted(NodeId v) const override { return is_honest(v) && halted_[v] != 0; }
+    const Message* intended_broadcast(NodeId v) const override {
+        EXPECT_TRUE(is_honest(v));
+        return state_[v] == net::RoundBuffer::kPresent ? &sent_[v] : nullptr;
+    }
+    Bit current_value(NodeId v) const override { return value_[v]; }
+    bool current_decided(NodeId v) const override { return decided_[v] != 0; }
+    net::ObservationPlanes planes() const override {
+        if (!offer_planes_) return {};
+        net::ObservationPlanes p{state_.data(), halted_.data(), sent_.data(), decided_.data(),
+                                 value_.data()};
+        if (words_) {
+            p.present_words = present_.data();
+            p.val_words = val_.data();
+            p.word_kind = kind_;
+            p.word_phase = phase_;
+        }
+        return p;
+    }
+    std::optional<Message> corrupt(NodeId v) override {
+        EXPECT_TRUE(is_honest(v) && !is_halted(v)) << v;
+        EXPECT_GT(budget_left(), 0u);
+        std::optional<Message> discarded;
+        if (state_[v] == net::RoundBuffer::kPresent) discarded = sent_[v];
+        state_[v] = net::RoundBuffer::kByzantine;
+        present_[v / 64] &= ~(std::uint64_t{1} << (v % 64));
+        corrupted.push_back(v);
+        return discarded;
+    }
+    void deliver_as(NodeId byz_from, NodeId to, const Message& m) override {
+        delivered.emplace_back(byz_from, to, m);
+    }
+    void split_as(NodeId byz_from, const std::optional<Message>& low,
+                  const std::optional<Message>& high, NodeId boundary) override {
+        splits.emplace_back(byz_from, low, high, boundary);
+    }
+
+    std::vector<NodeId> corrupted;
+    std::vector<std::tuple<NodeId, NodeId, Message>> delivered;
+    std::vector<std::tuple<NodeId, std::optional<Message>, std::optional<Message>, NodeId>>
+        splits;
+
+private:
+    NodeId n_;
+    Round round_;
+    Count budget_;
+    bool offer_planes_;
+    std::vector<std::uint8_t> state_, halted_, decided_;
+    std::vector<Bit> value_;
+    std::vector<Message> sent_;
+    bool words_ = false;
+    std::vector<std::uint64_t> present_, val_;
+    MsgKind kind_{};
+    Phase phase_ = 0;
+};
+
+/// Runs one worst-case act on the scripted round twice — over the planes
+/// (and send words) and through the per-node calls — and requires the same
+/// corruptions, deliveries and splits in the same order. Returns the plane
+/// run's control for further checks.
+template <typename Script>
+std::unique_ptr<ScriptedRound> expect_worst_case_act_matches(const adv::WorstCaseConfig& cfg,
+                                                             NodeId n, Round round,
+                                                             Count budget, Script&& script) {
+    std::unique_ptr<ScriptedRound> runs[2];
+    for (int per_node = 0; per_node < 2; ++per_node) {
+        runs[per_node] = std::make_unique<ScriptedRound>(n, round, budget, per_node == 0);
+        script(*runs[per_node]);
+        runs[per_node]->seal();
+        adv::WorstCaseAdversary adversary(cfg);
+        adversary.act(*runs[per_node]);
+    }
+    EXPECT_EQ(runs[0]->corrupted, runs[1]->corrupted);
+    EXPECT_EQ(runs[0]->delivered, runs[1]->delivered);
+    EXPECT_EQ(runs[0]->splits, runs[1]->splits);
+    return std::move(runs[0]);
+}
+
+TEST(PlaneView, ByteScanMatchesItsPortableFormAndThePerByteSpec) {
+    // clear_bytes64 (the SSE2 form on x86-64) and its portable form against
+    // a per-byte loop. Byte density varies by trial, so all-clear words,
+    // lone set bytes and 0x80-only bytes all occur.
+    Xoshiro256 rng(0xB17E5);
+    std::uint8_t a[64], b[64];
+    for (int trial = 0; trial < 4000; ++trial) {
+        const auto amask = static_cast<std::uint8_t>(trial % 3 == 0 ? 0xFF : rng.below(256));
+        const std::uint64_t sparsity = 1 + static_cast<std::uint64_t>(trial % 5) * 16;
+        const auto draw = [&] {
+            if (rng.below(sparsity) != 0) return std::uint8_t{0};
+            return rng.below(4) == 0 ? std::uint8_t{0x80}
+                                     : static_cast<std::uint8_t>(rng.below(256));
+        };
+        for (unsigned i = 0; i < 64; ++i) {
+            a[i] = draw();
+            b[i] = draw();
+        }
+        std::uint64_t clear = 0, nonzero = 0;
+        for (unsigned i = 0; i < 64; ++i) {
+            if ((a[i] & amask) == 0 && b[i] == 0) clear |= std::uint64_t{1} << i;
+            if (a[i] != 0) nonzero |= std::uint64_t{1} << i;
+        }
+        ASSERT_EQ(net::kern::clear_bytes64_portable(a, amask, b), clear) << "trial " << trial;
+        ASSERT_EQ(net::kern::clear_bytes64(a, amask, b), clear) << "trial " << trial;
+        ASSERT_EQ(net::kern::nonzero_bytes64(a), nonzero) << "trial " << trial;
+    }
+}
+
+TEST(PlaneView, WorstCaseRound1BlocksWithCommitteeMembersFirst) {
+    // Phase 1's committee is [60, 120): with 60-node blocks it sits above
+    // the lowest ids and straddles plane words, so "committee first, then
+    // ascending" and plain ascending order pick different victims. n = 4097,
+    // t = 200: the value-1 bloc holds 20 committee members and every other
+    // live voter, 157 past the n-t quorum, so 158 corruptions block it —
+    // the 20 members, then non-members from id 0 up, skipping the committee.
+    constexpr NodeId n = 4097;
+    constexpr Count t = 200;
+    const core::BlockSchedule schedule = core::BlockSchedule::make(n, 60);
+    for (const Round offset : {Round{0}, Round{2}}) {
+        SCOPED_TRACE("round offset " + std::to_string(offset));
+        const adv::WorstCaseConfig cfg{t, t, schedule, true, offset};
+        const auto script = [&](ScriptedRound& r) {
+            for (NodeId v = 0; v < n; ++v) {
+                Message m;
+                m.kind = MsgKind::Vote1;
+                m.phase = 1;
+                m.val = v >= 60 && v < 120 ? (v < 80 ? 1 : 0) : 1;
+                // Outside the bloc: a halted node that still broadcast
+                // (a flusher), a silent node and a corrupted one.
+                if (v == 5) {
+                    r.set(v, m, /*halted=*/true, true, 1);
+                } else if (v == 6) {
+                    r.set(v, std::nullopt, false, false, 0);
+                } else if (v == 7) {
+                    r.set_byzantine(v);
+                } else {
+                    r.set(v, m, false, false, m.val);
+                }
+            }
+        };
+        const auto run = expect_worst_case_act_matches(cfg, n, 2 + offset, t, script);
+        const Count bloc = n - 40 - 3;  // committee 0-voters and the three above
+        const Count need = bloc - (n - t) + 1;
+        ASSERT_EQ(run->corrupted.size(), need);
+        for (std::size_t i = 0; i < 20; ++i) EXPECT_EQ(run->corrupted[i], 60 + i);
+        // Then ascending outside the committee, past nodes 5, 6 and 7.
+        EXPECT_EQ(run->corrupted[20], 0u);
+        EXPECT_EQ(run->corrupted[25], 8u);
+        EXPECT_EQ(run->corrupted[24], 4u);
+        EXPECT_EQ(run->corrupted[76], 59u);
+        EXPECT_EQ(run->corrupted[77], 120u);
+        EXPECT_TRUE(run->delivered.empty());
+    }
+}
+
+TEST(PlaneView, WorstCaseRound2SplitMatchesPerNodeCalls) {
+    // Round 2 of phase 1 at n = 4097: decided nodes past t (some in the
+    // committee), finishers that broadcast and halted this round (flushers,
+    // not live), three Byzantine committee members, and honest committee
+    // flips summing to +5 — so the strategy trims the decided count by 9,
+    // corrupts two +1 flippers and ruins the coin with the SPLIT selector.
+    constexpr NodeId n = 4097;
+    constexpr Count t = 100;
+    const core::BlockSchedule schedule = core::BlockSchedule::make(n, 64);
+    for (const Round offset : {Round{0}, Round{2}}) {
+        SCOPED_TRACE("round offset " + std::to_string(offset));
+        const adv::WorstCaseConfig cfg{t, t, schedule, true, offset};
+        const auto script = [&](ScriptedRound& r) {
+            for (NodeId v = 0; v < n; ++v) {
+                Message m;
+                m.kind = MsgKind::Vote2;
+                m.phase = 1;
+                const bool committee = v >= 64 && v < 128;
+                const bool decided = v % 37 == 0;  // 111 decided nodes
+                const bool flusher = v % 101 == 0 && !committee;
+                m.val = 1;
+                m.flag = decided || flusher ? 1 : 0;
+                if (committee) m.coin = v % 2 == 0 || v < 72 ? CoinSign{1} : CoinSign{-1};
+                if (v == 70 || v == 90 || v == 100) {
+                    r.set_byzantine(v);
+                } else if (v % 500 == 3) {
+                    r.set(v, std::nullopt, /*halted=*/true, true, 1);
+                } else {
+                    r.set(v, m, flusher, decided || flusher, 1);
+                }
+            }
+        };
+        const auto run = expect_worst_case_act_matches(cfg, n, 3 + offset, t, script);
+        ASSERT_EQ(run->corrupted.size(), 9u + 2u);
+        ASSERT_FALSE(run->delivered.empty()) << "the SPLIT selector never went out";
+        // Receiver `to` hears +1 iff it is live after the corruptions with an
+        // odd number of live receivers before it.
+        bool odd = false;
+        std::vector<CoinSign> want(n);
+        for (NodeId to = 0; to < n; ++to) {
+            const bool live = run->is_honest(to) && !run->is_halted(to);
+            want[to] = live && odd ? CoinSign{1} : CoinSign{-1};
+            if (live) odd = !odd;
+        }
+        for (const auto& [from, to, m] : run->delivered) {
+            ASSERT_EQ(m.coin, want[to]) << from << " -> " << to;
+            ASSERT_EQ(m.kind, MsgKind::Vote2);
+        }
+    }
 }
 
 TEST(PlaneView, ObserverKeepsThePerNodePreconditions) {

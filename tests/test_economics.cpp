@@ -29,8 +29,10 @@ EconomicsRun run_once(NodeId n, Count t, std::uint64_t seed) {
     const SeedTree seeds(seed);
     const auto params = core::AgreementParams::compute(n, t);
     net::NodePool nodes;
-    core::arm_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases,
-                               make_inputs(InputPattern::Split, n, seeds), seeds, nodes);
+    core::arm_committee_nodes({params.n, params.t, params.phases,
+                               core::AgreementMode::WhpFixedPhases},
+                              params.schedule, make_inputs(InputPattern::Split, n, seeds),
+                              seeds, nodes);
     adv::WorstCaseAdversary adversary({t, t, params.schedule, true});
     net::Engine eng({n, t, core::max_rounds_whp(params), false}, std::move(nodes),
                     adversary);

@@ -167,6 +167,29 @@ TEST(Engine, DeliverRowsAsChecksBeforeDelivering) {
     EXPECT_EQ(eng.run().metrics.byzantine_messages, 3u);
 }
 
+TEST(Engine, DeliverSelectAsChecksBeforeDelivering) {
+    // n = 70: the selector plane is two words, the second one partial.
+    ScriptAdversary adv([](RoundControl& ctl) {
+        if (ctl.round() != 0) return;
+        ctl.corrupt(0);
+        Message zero;
+        zero.kind = MsgKind::Vote2;
+        zero.coin = -1;
+        Message one = zero;
+        one.coin = 1;
+        const std::vector<std::uint64_t> short_select(1, ~std::uint64_t{0});
+        const std::vector<std::uint64_t> select(2, ~std::uint64_t{0});
+        const std::vector<NodeId> mixed = {0, 1};  // 1 is still honest
+        const std::vector<NodeId> byz = {0};
+        EXPECT_THROW(ctl.deliver_select_as(byz, zero, one, short_select), ContractViolation);
+        EXPECT_THROW(ctl.deliver_select_as(mixed, zero, one, select), ContractViolation);
+        ctl.deliver_select_as(byz, zero, one, select);
+    });
+    Engine eng({70, 1, 1, false}, make_echo_nodes(70, 1, nullptr), adv);
+    // The rejected calls delivered nothing, not even for the valid sender.
+    EXPECT_EQ(eng.run().metrics.byzantine_messages, 70u);
+}
+
 TEST(Engine, CannotCorruptHaltedNode) {
     ScriptAdversary adv([](RoundControl& ctl) {
         if (ctl.round() == 1) {

@@ -324,8 +324,10 @@ TEST(SwitchAdversary, DelegatesByRound) {
     const SeedTree seeds(9);
     const auto params = core::AgreementParams::compute(16, 3);
     net::NodePool nodes;
-    core::arm_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases,
-                               make_inputs(InputPattern::Split, 16, seeds), seeds, nodes);
+    core::arm_committee_nodes({params.n, params.t, params.phases,
+                               core::AgreementMode::WhpFixedPhases},
+                              params.schedule, make_inputs(InputPattern::Split, 16, seeds),
+                              seeds, nodes);
     net::Engine eng({16, 3, core::max_rounds_whp(params), true}, std::move(nodes), sw);
     const auto res = eng.run();
     ASSERT_TRUE(res.transcript.has_value());
