@@ -316,7 +316,7 @@ double measure_mem_bandwidth() {
 }
 
 void throughput(const Cli& cli) {
-    const auto base = static_cast<Count>(cli.get_int("bench_trials", 2000));
+    const auto base = cli.get_uint<Count>("bench_trials", 2000);
     const std::string json_path = cli.get("bench_json", "BENCH_engine.json");
     const bool use_batch = cli.get_bool("batch", true);  // --batch=on|off
 
@@ -345,7 +345,7 @@ void throughput(const Cli& cli) {
     // the intra workers (the single-huge-trial use case). On a 1-core host
     // this degrades to the serial loop and speedup reads ~1.0x — the number
     // is honest, not padded.
-    const auto shards = static_cast<unsigned>(cli.get_int("shards", 4));
+    const auto shards = cli.get_uint<unsigned>("shards", 4);
     const unsigned saved_threads = sim::default_threads();
     sim::set_default_threads(1);
     const unsigned workers = std::min(shards, sim::intra_worker_cap(1));
@@ -390,7 +390,7 @@ void throughput(const Cli& cli) {
     // block; chain rides along so the frozen v1 derivation keeps a recorded
     // cost. The n=2^20 cell runs several trials — a single ~1 s trial made
     // the committed baseline noisy enough to trip the regression gate.
-    const auto degree = static_cast<Count>(cli.get_int("sample_degree", 64));
+    const auto degree = cli.get_uint<Count>("sample_degree", 64);
     const std::pair<NodeId, Count> sparse_cells[] = {
         {1 << 14, std::max<Count>(base / 100, 5)},
         {1 << 17, std::max<Count>(base / 500, 2)},
@@ -603,7 +603,7 @@ void throughput(const Cli& cli) {
 }
 
 void experiment(const Cli& cli) {
-    const auto trials = static_cast<Count>(cli.get_int("trials", 5));
+    const auto trials = cli.get_uint<Count>("trials", 5);
     std::printf("E10: engine throughput (timing entries below); summary table of\n"
                 "per-trial work at representative sizes.\n");
 

@@ -21,7 +21,7 @@ namespace {
 using namespace adba;
 
 void experiment(const Cli& cli) {
-    const auto trials = static_cast<Count>(cli.get_int("trials", 1500));
+    const auto trials = cli.get_uint<Count>("trials", 1500);
     std::printf("E1: common coin (Algorithm 1) vs adaptive rushing corruption.\n");
     std::printf("Definition 2 asks: P(common) >= delta and P(bit|common) in "
                 "[eps, 1-eps].\nPaper proof floor: delta >= 1/6 at f = sqrt(n)/2.\n");

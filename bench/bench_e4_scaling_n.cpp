@@ -64,7 +64,7 @@ void regime_table(const Cli& cli, const char* title, const char* slug, TofN t_of
 }
 
 void experiment(const Cli& cli) {
-    const auto trials = static_cast<int>(cli.get_int("trials", 15));
+    const auto trials = cli.get_uint<int>("trials", 15);
     std::printf("E4: scaling in n at fixed t-regimes (macro simulator, %d trials, "
                 "%u threads).\n\n", trials, sim::default_threads());
     regime_table(cli, "E4a: t = sqrt(n)  — the paper's near-optimal point",

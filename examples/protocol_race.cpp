@@ -20,9 +20,9 @@
 int main(int argc, char** argv) {
     using namespace adba;
     const Cli cli(argc, argv);
-    const auto n = static_cast<NodeId>(cli.get_int("n", 128));
-    const auto t = static_cast<Count>(cli.get_int("t", 30));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 20));
+    const auto n = cli.get_uint<NodeId>("n", 128);
+    const auto t = cli.get_uint<Count>("t", 30);
+    const auto trials = cli.get_uint<Count>("trials", 20);
     sim::init_threads(cli);
     cli.check_unused();
 

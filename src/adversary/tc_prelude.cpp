@@ -56,19 +56,28 @@ void TcPreludeAdversary::act(net::RoundControl& ctl) {
         // forged echoes decide, per receiver, which side of the binary
         // threshold it lands on.
         split_armed_ = p_live < quorum && p_live + q_live >= quorum && quorum >= 1;
-        echo_targets_.clear();
+        // One threshold split per corrupted sender: the plurality word below
+        // the boundary, one past the (quorum-1)-th honest node, so the
+        // honest receivers there are exactly the targets (what the
+        // Byzantine ones among them are sent is never read). The rest get a
+        // decoy no honest node broadcast, which they hold q < n-t times:
+        // never a quorum.
+        NodeId boundary = 0;
         if (split_armed_) {
-            for (NodeId v = 0; v < n && echo_targets_.size() < quorum - 1; ++v)
-                if (obs.honest(v)) echo_targets_.push_back(v);
+            Count targets = 0;
+            for (NodeId v = 0; v < n && targets < quorum - 1; ++v) {
+                if (!obs.honest(v)) continue;
+                ++targets;
+                boundary = v + 1;
+            }
         }
-        // Every corrupted node sends the same per-receiver words: the
-        // plurality word to the targets, a receiver-unique decoy elsewhere.
-        net::Message m;
-        m.kind = net::MsgKind::TCValue;
-        cells_.assign(n, m);
-        for (NodeId to = 0; to < n; ++to) cells_[to].word = 0x5A5A0000u + to;
-        for (NodeId v : echo_targets_) cells_[v].word = plurality_;
-        ctl.deliver_rows_as(corrupted_, cells_);
+        net::Message low;
+        low.kind = net::MsgKind::TCValue;
+        low.word = plurality_;
+        net::Message high = low;
+        high.word = 0x5A5A0000u;
+        while (tally.contains(high.word)) ++high.word;
+        for (const NodeId u : corrupted_) ctl.split_as(u, low, high, boundary);
         return;
     }
 

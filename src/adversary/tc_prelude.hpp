@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "net/engine.hpp"
-#include "rand/rng.hpp"
 #include "support/types.hpp"
 
 namespace adba::adv {
@@ -18,7 +17,7 @@ class TcPreludeAdversary final : public net::Adversary {
 public:
     /// Corrupts q nodes in round 0 (before any delivery) and equivocates
     /// through the two prelude rounds; silent afterwards.
-    TcPreludeAdversary(Count q, Xoshiro256 rng) : q_(q), rng_(rng) {}
+    explicit TcPreludeAdversary(Count q) : q_(q) {}
 
     void on_start(NodeId, Count budget) override { budget_ = budget; }
     void act(net::RoundControl& ctl) override;
@@ -29,11 +28,8 @@ public:
 
 private:
     Count q_;
-    Xoshiro256 rng_;
     Count budget_ = 0;  ///< engine budget t (fixes the n-t quorum)
     std::vector<NodeId> corrupted_;
-    std::vector<NodeId> echo_targets_;  ///< receivers pushed over the quorum
-    std::vector<net::Message> cells_;   ///< round 0's per-receiver forgeries (scratch)
     std::vector<std::uint64_t> select_;  ///< round 1's pushed receivers (scratch)
     net::Word plurality_ = 0;  ///< honest plurality word observed in round 0
     bool split_armed_ = false;

@@ -89,17 +89,6 @@ public:
     void deliver_as(NodeId byz_from, NodeId to, const Message& m) override {
         e_.do_deliver(byz_from, to, m);
     }
-    void deliver_rows_as(std::span<const NodeId> byz_from,
-                         std::span<const Message> cells) override {
-        ADBA_EXPECTS_MSG(cells.size() == e_.cfg_.n,
-                         "deliver_rows_as needs one cell per receiver");
-        for (const NodeId u : byz_from) {
-            ADBA_EXPECTS(u < e_.cfg_.n);
-            ADBA_EXPECTS_MSG(!e_.buf_.is_honest(u),
-                             "deliver_rows_as requires corrupted senders");
-        }
-        e_.metrics_.byzantine_messages += e_.buf_.deliver_shared(byz_from, cells);
-    }
     void deliver_select_as(std::span<const NodeId> byz_from, const Message& zero,
                            const Message& one, std::span<const std::uint64_t> select) override {
         ADBA_EXPECTS_MSG(select.size() == kern::word_count(e_.cfg_.n),

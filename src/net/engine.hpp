@@ -95,6 +95,12 @@ struct ObservationPlanes {
 /// engine's per-trial form (Engine::Ctl, engine.cpp) and the fused trial
 /// plane's lane-masked bridge (net/fused_plane.hpp), which runs one
 /// adversary instance per bit-sliced lane against that lane's planes only.
+///
+/// Equivocation takes three delivery calls: deliver_as per (sender,
+/// receiver) pair, deliver_select_as for many senders sharing one bit per
+/// receiver, and split_as (and broadcast_as) for a threshold split. The
+/// flat engine stores them as dense, select and pattern rows
+/// (net/round_buffer.hpp); only the selector is shared between senders.
 class RoundControl {
 public:
     virtual ~RoundControl() = default;
@@ -132,29 +138,17 @@ public:
     virtual std::optional<Message> corrupt(NodeId v) = 0;
     /// Delivers m from Byzantine node `byz_from` to `to` this round.
     virtual void deliver_as(NodeId byz_from, NodeId to, const Message& m) = 0;
-    /// Delivers cells[to] from every Byzantine sender in `byz_from` to each
-    /// receiver `to`; cells.size() must equal n(). The default body below —
-    /// deliver_as for every (sender, receiver) pair, sender-major — is the
-    /// contract: an override must leave the round's deliveries and message
-    /// accounting exactly as that loop would. It exists for the attacks that
-    /// make many senders equivocate with one per-receiver vector; the
-    /// engine's override stores that vector once for all of them, so the
-    /// call costs O(n + |byz_from|) instead of O(|byz_from| * n).
-    virtual void deliver_rows_as(std::span<const NodeId> byz_from,
-                                 std::span<const Message> cells) {
-        ADBA_EXPECTS_MSG(cells.size() == n(), "deliver_rows_as needs one cell per receiver");
-        for (const NodeId u : byz_from)
-            for (NodeId to = 0; to < cells.size(); ++to) deliver_as(u, to, cells[to]);
-    }
     /// Delivers `one` to each receiver `to` whose bit is set in the
     /// selector plane (bit to % 64 of select[to / 64]) and `zero` to the
     /// rest, from every Byzantine sender in `byz_from`;
     /// select.size() must equal kern::word_count(n()), and bits past n()
-    /// are ignored. As for deliver_rows_as, the default body — deliver_as
-    /// for every (sender, receiver) pair, sender-major — is the contract.
-    /// The engine's override stores one selector for all the senders, so a
-    /// one-bit-per-receiver split costs O(n/64 + |byz_from|) and no
-    /// Message per receiver.
+    /// are ignored. The default body below — deliver_as for every (sender,
+    /// receiver) pair, sender-major — is the contract: an override must
+    /// leave the round's deliveries and message accounting exactly as that
+    /// loop would. It exists for the attacks that make many senders
+    /// equivocate with one bit per receiver (the worst-case coin split);
+    /// the engine's override stores one selector for all the senders, so
+    /// the call costs O(n/64 + |byz_from|) and no Message per receiver.
     virtual void deliver_select_as(std::span<const NodeId> byz_from, const Message& zero,
                                    const Message& one, std::span<const std::uint64_t> select) {
         ADBA_EXPECTS_MSG(select.size() == kern::word_count(n()),

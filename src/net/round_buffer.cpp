@@ -21,7 +21,6 @@ void RoundBuffer::reset(NodeId n) {
     row_sender_.clear();
     row_mode_.clear();
     row_slot_.clear();
-    slot_refs_.clear();
     rows_in_use_ = 0;
     slots_in_use_ = 0;
     selects_in_use_ = 0;
@@ -40,7 +39,6 @@ void RoundBuffer::begin_round() {
     row_sender_.clear();
     row_mode_.clear();
     row_slot_.clear();
-    slot_refs_.clear();
     rows_in_use_ = 0;
     slots_in_use_ = 0;
     selects_in_use_ = 0;
@@ -122,24 +120,21 @@ std::size_t RoundBuffer::new_slot() {
         byz_msgs_.resize((slot + 1) * n_);
         byz_present_.resize((slot + 1) * n_);
     }
-    slot_refs_.push_back(0);
     return slot;
 }
 
 void RoundBuffer::assign_dense_slot(std::size_t row) {
     const std::size_t slot = new_slot();
     row_slot_[row] = static_cast<std::int32_t>(slot);
-    slot_refs_[slot] = 1;
     std::fill_n(byz_present_.begin() + static_cast<std::ptrdiff_t>(slot * n_), n_,
                 std::uint8_t{0});
 }
 
 void RoundBuffer::make_writable(std::size_t row) {
-    const bool dense = row_mode_[row] == kRowDense;
-    if (dense && slot_refs_[static_cast<std::size_t>(row_slot_[row])] == 1) return;
+    if (row_mode_[row] == kRowDense) return;  // its slot is its own
     // A private slot takes the row's deliveries as they read now: a
-    // pattern's two sides, a selector's templates, or a copy of a shared
-    // slot (copy-on-write). The row keeps its old form until the copy is
+    // pattern's two sides or a selector's templates (copy-on-write for
+    // the shared selector). The row keeps its old form until the copy is
     // done; new_slot may reallocate the cell arrays, so offsets, not
     // iterators.
     const std::size_t own = new_slot();
@@ -149,8 +144,6 @@ void RoundBuffer::make_writable(std::size_t row) {
         byz_present_[base + to] = m != nullptr ? 1 : 0;
         if (m != nullptr) byz_msgs_[base + to] = *m;
     }
-    if (dense) --slot_refs_[static_cast<std::size_t>(row_slot_[row])];
-    slot_refs_[own] = 1;
     row_slot_[row] = static_cast<std::int32_t>(own);
     row_mode_[row] = kRowDense;
 }
@@ -212,37 +205,6 @@ Count RoundBuffer::apply_pattern(NodeId byz_from, const Message* low,
     // Merge with earlier deliveries from the same sender.
     return static_cast<Count>(
         merge_cells(row, [&](NodeId to) { return to < boundary ? low : high; }));
-}
-
-std::uint64_t RoundBuffer::deliver_shared(std::span<const NodeId> byz_from,
-                                          std::span<const Message> cells) {
-    ADBA_EXPECTS(cells.size() == n_);
-    std::uint64_t fresh = 0;
-    std::int32_t shared = -1;  // this call's slot, filled on first use
-    for (const NodeId u : byz_from) {
-        ADBA_EXPECTS(u < n_);
-        const std::int32_t prior = byz_row_of_[u];
-        if (prior >= 0) {
-            // A sender listed twice already points at this call's cells.
-            if (shared >= 0 && row_mode_[prior] == kRowDense && row_slot_[prior] == shared)
-                continue;
-            fresh += merge_cells(static_cast<std::size_t>(prior),
-                                 [&](NodeId to) { return &cells[to]; });
-            continue;
-        }
-        if (shared < 0) {
-            const std::size_t slot = new_slot();
-            const auto base = static_cast<std::ptrdiff_t>(slot * n_);
-            std::copy(cells.begin(), cells.end(), byz_msgs_.begin() + base);
-            std::fill_n(byz_present_.begin() + base, n_, std::uint8_t{1});
-            shared = static_cast<std::int32_t>(slot);
-        }
-        const std::size_t row = static_cast<std::size_t>(ensure_row(u));
-        row_slot_[row] = shared;
-        ++slot_refs_[static_cast<std::size_t>(shared)];
-        fresh += n_;
-    }
-    return fresh;
 }
 
 std::uint64_t RoundBuffer::deliver_select(std::span<const NodeId> byz_from,
@@ -496,19 +458,15 @@ const WordHistogram& RoundTally::word_counts(const TallyBucket& b,
 }
 
 template <typename Fn>
-void RoundTally::for_each_weighted_slot(NodeId first, NodeId last, Fn&& sweep) const {
-    const std::size_t slots = buf_->slots_in_use();
-    if (slots == 0) return;
-    slot_weight_.assign(slots, 0);
+void RoundTally::for_each_dense_slot(NodeId first, NodeId last, Fn&& sweep) const {
+    if (buf_->slots_in_use() == 0) return;
     for (std::size_t r = 0; r < buf_->rows_in_use(); ++r) {
         const NodeId u = buf_->row_sender(r);
         if (u < first || u >= last || buf_->row_mode(r) != RoundBuffer::kRowDense)
             continue;
-        ++slot_weight_[buf_->row_slot(r)];
+        const std::size_t slot = buf_->row_slot(r);
+        sweep(buf_->slot_messages(slot), buf_->slot_presence(slot));
     }
-    for (std::size_t slot = 0; slot < slots; ++slot)
-        if (slot_weight_[slot] != 0)
-            sweep(buf_->slot_messages(slot), buf_->slot_presence(slot), slot_weight_[slot]);
 }
 
 template <typename Fn>
@@ -575,8 +533,7 @@ const std::array<Count, 2>* RoundTally::val_delta_plane(MsgKind kind, Phase phas
     }
     vc.any = any_pattern || any_select;
     if (!vc.any) {
-        for_each_weighted_slot(0, n, [&](const Message* msgs, const std::uint8_t* present,
-                                         Count) {
+        for_each_dense_slot(0, n, [&](const Message* msgs, const std::uint8_t* present) {
             for (NodeId v = 0; v < n && !vc.any; ++v)
                 vc.any = present[v] != 0 && matches(msgs[v]);
         });
@@ -588,7 +545,7 @@ const std::array<Count, 2>* RoundTally::val_delta_plane(MsgKind kind, Phase phas
     // (+1 at the run start, -1 past its end, prefix-summed once at the end)
     // so k pattern rows cost O(n + k), not O(n * k) — with t split-voting
     // Byzantine senders the latter was the dominant large-n term. Dense
-    // rows are then swept per distinct slot, weighted by its row count.
+    // rows are then swept once each, over their own slot.
     vc.delta.assign(n, {Count{0}, Count{0}});
     if (any_pattern) {
         for (std::size_t r = 0; r < rows; ++r) {
@@ -610,10 +567,9 @@ const std::array<Count, 2>* RoundTally::val_delta_plane(MsgKind kind, Phase phas
             vc.delta[v][1] += vc.delta[v - 1][1];
         }
     }
-    for_each_weighted_slot(0, n, [&](const Message* msgs, const std::uint8_t* present,
-                                     Count w) {
+    for_each_dense_slot(0, n, [&](const Message* msgs, const std::uint8_t* present) {
         for (NodeId v = 0; v < n; ++v)
-            if (present[v] != 0 && matches(msgs[v])) vc.delta[v][msgs[v].val & 1] += w;
+            if (present[v] != 0 && matches(msgs[v])) ++vc.delta[v][msgs[v].val & 1];
     });
     if (any_select) {
         for_each_weighted_select(0, n, [&](const RoundBuffer::RowSelect& s,
@@ -668,7 +624,7 @@ const std::int64_t* RoundTally::coin_delta_plane(MsgKind kind, Phase phase,
         return 0;
     };
     // Pattern rows as a difference sweep (O(1) per side, one prefix pass),
-    // dense slots swept once each — same shape as val_delta_plane.
+    // dense rows swept once each — same shape as val_delta_plane.
     bool any_pattern = false;
     for (std::size_t r = 0; r < rows; ++r) {
         const NodeId u = buf_->row_sender(r);
@@ -690,14 +646,12 @@ const std::int64_t* RoundTally::coin_delta_plane(MsgKind kind, Phase phase,
     }
     if (any_pattern)
         for (NodeId v = 1; v < n; ++v) cc.delta[v] += cc.delta[v - 1];
-    for_each_weighted_slot(first, last, [&](const Message* msgs,
-                                            const std::uint8_t* present, Count w) {
-        const auto weight = static_cast<std::int64_t>(w);
+    for_each_dense_slot(first, last, [&](const Message* msgs, const std::uint8_t* present) {
         for (NodeId v = 0; v < n; ++v) {
             const std::int64_t d = present[v] != 0 ? sign_of(msgs[v]) : 0;
             if (d == 0) continue;
             touch();
-            cc.delta[v] += weight * d;
+            cc.delta[v] += d;
         }
     });
     // Selectors fold from their bits: each receiver gets one of two

@@ -14,16 +14,14 @@
 //    so the classic split/broadcast attacks cost O(1) per sender per round
 //    instead of O(n), or a Select row (two template messages and an n-bit
 //    selector plane: receiver `to` gets the second template where bit `to`
-//    is set, the first elsewhere). Dense rows point at dense *slots*
-//    (n-cell blocks), and one slot may back many rows: deliver_shared
-//    fills a single slot with a per-receiver vector and points every fresh
-//    listed sender at it, so k senders equivocating identically cost
-//    O(n + k), not O(k * n). deliver_select does the same with one stored
-//    selector, so a one-bit-per-receiver equivocation (the worst-case coin
-//    split) costs O(n/64 + k) and writes no Message per receiver. Shared
-//    storage is copy-on-write: the first deliver, apply_pattern or
-//    deliver_shared merge into a row on a shared slot or a selector gives
-//    that row a private dense slot first.
+//    is set, the first elsewhere). A dense row owns one dense *slot* (n
+//    cells). The selector is the one form shared between senders:
+//    deliver_select stores one selector and points every fresh listed
+//    sender at it, so k senders equivocating with one bit per receiver
+//    (the worst-case coin split) cost O(n/64 + k) and write no Message per
+//    receiver. A later deliver, apply_pattern or deliver_select merge into
+//    a pattern or select row first materializes that row into a private
+//    dense slot — copy-on-write for the shared selector.
 //
 //    Honest sends arrive in one of two forms. set_broadcast writes one
 //    sender's Message (per-node writers: the PerNodeBatch adapter, Ben-Or,
@@ -43,7 +41,7 @@
 //    are receiver-independent, so their (kind, phase) histogram is computed
 //    ONCE per round in O(n); Byzantine-row deltas are aggregated once per
 //    query signature into per-receiver arrays (O(n + rows) for pattern
-//    rows, O(n) per distinct dense slot or selector, each weighted by the
+//    rows, O(n) per dense row, O(n) per distinct selector weighted by the
 //    number of in-range rows that reference it; a selector folds bits and
 //    reads no Message, and one whose templates miss the query costs O(1)),
 //    dropping honest-path receives from O(n²) per round to O(n). A
@@ -183,7 +181,7 @@ public:
     /// Clears v's present word bit and sets its Byzantine word bit (O(1)),
     /// so the send words stay exact after the adversary beat.
     std::optional<Message> corrupt(NodeId v);
-    /// Records m as (byz_from -> to); returns true when the slot was empty.
+    /// Records m as (byz_from -> to); returns true when the cell was empty.
     bool deliver(NodeId byz_from, NodeId to, const Message& m);
     /// O(1) threshold equivocation: `low` (if non-null) to receivers below
     /// `boundary`, `high` (if non-null) to the rest. Returns the number of
@@ -191,14 +189,6 @@ public:
     /// back to a dense merge when the sender already delivered this round.
     Count apply_pattern(NodeId byz_from, const Message* low, const Message* high,
                         NodeId boundary);
-    /// cells[to] from every sender in `byz_from` to every receiver `to`
-    /// (cells.size() == n): the same deliveries as the per-pair deliver()
-    /// loop, in O(n + |byz_from|) when the senders have no row yet — one
-    /// dense slot is filled once and shared by all of them. Senders that
-    /// already delivered this round merge cellwise. Returns the number of
-    /// previously-empty (sender, receiver) slots now covered.
-    std::uint64_t deliver_shared(std::span<const NodeId> byz_from,
-                                 std::span<const Message> cells);
     /// `one` where bit `to` of `select` is set and `zero` elsewhere, from
     /// every sender in `byz_from` to every receiver `to`
     /// (select.size() == kern::word_count(n); bits past n are ignored): the
@@ -225,7 +215,7 @@ public:
     NodeId row_sender(std::size_t row) const { return row_sender_[row]; }
     std::uint8_t row_mode(std::size_t row) const { return row_mode_[row]; }
     const RowPattern& row_pattern(std::size_t row) const { return row_pattern_[row]; }
-    /// Dense slot backing a dense row (several rows may share one slot).
+    /// Dense slot backing a dense row (each slot belongs to one row).
     std::size_t row_slot(std::size_t row) const {
         return static_cast<std::size_t>(row_slot_[row]);
     }
@@ -275,8 +265,8 @@ private:
     /// O(t * n) cell arena.
     void assign_dense_slot(std::size_t row);
     /// Makes an existing row's cells safe to write in place: a pattern or
-    /// select row is materialized into its own dense slot, and a row on a
-    /// shared slot gets a private copy (copy-on-write).
+    /// select row is materialized into its own dense slot; a dense row
+    /// already owns its slot.
     void make_writable(std::size_t row);
     /// Merges into an existing row: make_writable, then cell(to) (a
     /// Message pointer, nullptr = leave the cell) into every receiver's
@@ -302,7 +292,6 @@ private:
     std::vector<std::uint8_t> row_mode_; ///< [rows] kRowDense / kRowPattern / kRowSelect
     /// [rows] dense slot (dense rows), selector (select rows), or -1
     std::vector<std::int32_t> row_slot_;
-    std::vector<std::uint32_t> slot_refs_;  ///< [slots] rows on each slot
     std::vector<RowPattern> row_pattern_;  ///< [rows] pattern payloads
     std::vector<Message> byz_msgs_;      ///< [slots * n] dense delivery cells
     std::vector<std::uint8_t> byz_present_;  ///< [slots * n]
@@ -476,15 +465,14 @@ private:
     /// planes (kern::pack_shard per shard, merged in shard order).
     void pack_pass(const RoundBuffer& buf, IntraDispatcher* intra);
     TallyBucket& bucket_for(MsgKind kind, Phase phase, std::size_t words);
-    /// Calls sweep(msgs, presence, weight) once per dense slot referenced by
-    /// a dense row whose sender lies in [first, last); weight = the number
-    /// of such rows on that slot. A slot shared by k identical rows is
-    /// swept once instead of k times.
+    /// Calls sweep(msgs, presence) over the slot of each dense row whose
+    /// sender lies in [first, last).
     template <typename Fn>
-    void for_each_weighted_slot(NodeId first, NodeId last, Fn&& sweep) const;
-    /// The same over selectors: fold(select, words, weight) once per
-    /// selector referenced by a select row whose sender lies in
-    /// [first, last).
+    void for_each_dense_slot(NodeId first, NodeId last, Fn&& sweep) const;
+    /// Calls fold(select, words, weight) once per selector referenced by a
+    /// select row whose sender lies in [first, last); weight = the number
+    /// of such rows on that selector. A selector shared by k senders is
+    /// folded once instead of k times.
     template <typename Fn>
     void for_each_weighted_select(NodeId first, NodeId last, Fn&& fold) const;
 
@@ -503,7 +491,6 @@ private:
     mutable std::vector<CoinCache> coin_caches_;
     mutable std::size_t coin_caches_in_use_ = 0;
     mutable WordHistogram byz_words_scratch_;  ///< recycled by byz_word_deltas
-    mutable std::vector<Count> slot_weight_;   ///< for_each_weighted_slot scratch
     mutable std::vector<Count> select_weight_; ///< for_each_weighted_select scratch
 };
 

@@ -623,10 +623,9 @@ MvAdversaryRegistry::MvAdversaryRegistry() : RegistryBase("mv-adversary") {
          {"prelude-plus-worst-case", "prelude"},
          "half budget equivocating the prelude, half on the inner protocol",
          [q_of](const MvScenario& s, const core::MultiValuedParams& params,
-                const SeedTree& seeds) -> std::unique_ptr<net::Adversary> {
+                const SeedTree&) -> std::unique_ptr<net::Adversary> {
              const Count half = q_of(s) / 2;
-             auto prelude = std::make_unique<adv::TcPreludeAdversary>(
-                 half, seeds.stream(StreamPurpose::Adversary));
+             auto prelude = std::make_unique<adv::TcPreludeAdversary>(half);
              auto inner = std::make_unique<adv::WorstCaseAdversary>(adv::WorstCaseConfig{
                  s.t, q_of(s) - half, params.binary.schedule, true, /*round_offset=*/2});
              return std::make_unique<adv::SwitchAdversary>(std::move(prelude),

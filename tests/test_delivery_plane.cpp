@@ -1,11 +1,12 @@
 // Delivery-plane tests: the flat RoundBuffer/RoundTally path must be
 // BIT-IDENTICAL to the reference virtual-dispatch path (per-sender loops
 // over a DeliverySource) for every compatible (protocol, adversary) registry
-// pair, at any thread count; plus pattern-row mechanics, shared dense rows
-// and selector rows (deliver_shared / deliver_select and their
-// RoundControl forms) against their per-cell expansion, word sends (RoundBuffer::set_word) against the pack pass,
-// uniform-count receive against the per-node path, and the
-// halted-receiver message-accounting contract.
+// pair, at any thread count; plus pattern-row mechanics, shared selector
+// rows (deliver_select and deliver_select_as) against their per-cell
+// expansion, the Turpin–Coan prelude's pinned outcomes, word sends
+// (RoundBuffer::set_word) against the pack pass, uniform-count receive
+// against the per-node path, and the halted-receiver message-accounting
+// contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -366,8 +367,9 @@ TEST(DeliveryPlanePatterns, BroadcastAsCountsOnlyFreshSlots) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared dense rows: deliver_shared against the same deliveries expanded to
-// per-cell deliver() on a second buffer.
+// Byzantine rows of every form — dense, pattern and shared selector rows —
+// against the same deliveries expanded to per-cell deliver() on a second
+// buffer.
 
 Message random_message(Xoshiro256& rng) {
     Message m;
@@ -459,21 +461,20 @@ TEST(DeliveryPlaneShared, RandomOpsMatchPerCellExpansion) {
             const auto pick = [&](const std::vector<NodeId>& from) {
                 return from[rng.below(from.size())];
             };
-            std::vector<NodeId> last_shared;  // senders of the latest shared call
-            std::vector<Message> cells(n);
+            std::vector<NodeId> last_select;  // senders of the latest selector call
             std::vector<std::uint64_t> select(net::kern::word_count(n));
             const int ops = 2 + static_cast<int>(rng.below(10));
             for (int op = 0; op < ops; ++op) {
                 const double kind = rng.uniform01();
-                // Writes aim at a sender on a shared slot half the time.
-                const NodeId u = !last_shared.empty() && rng.bernoulli(0.5)
-                                     ? pick(last_shared)
+                // Writes aim at a sender on a shared selector half the time.
+                const NodeId u = !last_select.empty() && rng.bernoulli(0.5)
+                                     ? pick(last_select)
                                      : pick(byz);
-                if (kind < 0.3) {
+                if (kind < 0.35) {
                     const NodeId to = static_cast<NodeId>(rng.below(n));
                     const Message m = random_message(rng);
                     ASSERT_EQ(shared.deliver(u, to, m), expanded.deliver(u, to, m));
-                } else if (kind < 0.55) {
+                } else if (kind < 0.65) {
                     const Message low = random_message(rng);
                     const Message high = random_message(rng);
                     const Message* lo = rng.bernoulli(0.8) ? &low : nullptr;
@@ -484,38 +485,28 @@ TEST(DeliveryPlaneShared, RandomOpsMatchPerCellExpansion) {
                         if (const Message* m = to < boundary ? lo : hi)
                             fresh += expanded.deliver(u, to, *m) ? 1 : 0;
                     ASSERT_EQ(shared.apply_pattern(u, lo, hi, boundary), fresh);
-                } else if (kind < 0.75) {
-                    // Random senders with repeats; some already hold rows.
-                    last_shared.clear();
-                    const std::size_t k = 1 + rng.below(byz.size() + 1);
-                    for (std::size_t i = 0; i < k; ++i) last_shared.push_back(pick(byz));
-                    for (NodeId to = 0; to < n; ++to) cells[to] = random_message(rng);
-                    std::uint64_t fresh = 0;
-                    for (const NodeId s : last_shared)
-                        for (NodeId to = 0; to < n; ++to)
-                            fresh += expanded.deliver(s, to, cells[to]) ? 1 : 0;
-                    ASSERT_EQ(shared.deliver_shared(last_shared, cells), fresh);
                 } else {
-                    // Selector rows: the same sender draw, and a selector
-                    // that is all zero, all one, or random — with random
-                    // bits past n, which must be ignored.
-                    last_shared.clear();
+                    // Selector rows: random senders with repeats (some
+                    // already hold rows), and a selector that is all zero,
+                    // all one, or random — with random bits past n, which
+                    // must be ignored.
+                    last_select.clear();
                     const std::size_t k = 1 + rng.below(byz.size() + 1);
-                    for (std::size_t i = 0; i < k; ++i) last_shared.push_back(pick(byz));
+                    for (std::size_t i = 0; i < k; ++i) last_select.push_back(pick(byz));
                     const std::uint64_t shape = rng.below(3);
                     for (auto& word : select)
                         word = shape == 0 ? 0 : shape == 1 ? ~std::uint64_t{0} : rng();
                     const Message zero = random_message(rng);
                     const Message one = random_message(rng);
                     std::uint64_t fresh = 0;
-                    for (const NodeId s : last_shared)
+                    for (const NodeId s : last_select)
                         for (NodeId to = 0; to < n; ++to)
                             fresh += expanded.deliver(s, to,
                                                       (select[to / 64] >> (to % 64)) & 1 ? one
                                                                                           : zero)
                                          ? 1
                                          : 0;
-                    ASSERT_EQ(shared.deliver_select(last_shared, zero, one, select), fresh);
+                    ASSERT_EQ(shared.deliver_select(last_select, zero, one, select), fresh);
                 }
             }
             ASSERT_EQ(shared.rows_in_use(), expanded.rows_in_use());
@@ -533,31 +524,34 @@ TEST(DeliveryPlaneShared, RandomOpsMatchPerCellExpansion) {
     }
 }
 
-TEST(DeliveryPlaneShared, SharedSlotIsCopiedBeforeAWrite) {
+TEST(DeliveryPlaneShared, SharedSelectorIsCopiedBeforeAWrite) {
     const NodeId n = 8;
     net::RoundBuffer buf;
     buf.reset(n);
     buf.begin_round();
     for (const NodeId v : {1u, 2u, 3u}) buf.corrupt(v);
-    std::vector<Message> cells(n);
-    for (NodeId to = 0; to < n; ++to) {
-        cells[to].kind = MsgKind::Vote2;
-        cells[to].coin = to % 2 == 0 ? CoinSign{1} : CoinSign{-1};
-    }
+    // Even receivers get coin +1, odd ones coin -1.
+    Message zero, one;
+    zero.kind = one.kind = MsgKind::Vote2;
+    zero.coin = CoinSign{-1};
+    one.coin = CoinSign{1};
+    const std::vector<std::uint64_t> select = {0x55};
     const std::vector<NodeId> senders = {1, 2, 3, 2};  // 2 listed twice
-    EXPECT_EQ(buf.deliver_shared(senders, cells), 3u * n);
-    EXPECT_EQ(buf.slots_in_use(), 1u);
+    EXPECT_EQ(buf.deliver_select(senders, zero, one, select), 3u * n);
+    EXPECT_EQ(buf.selects_in_use(), 1u);
+    EXPECT_EQ(buf.slots_in_use(), 0u);
 
     Message late;
     late.kind = MsgKind::Vote1;
-    EXPECT_FALSE(buf.deliver(2, 5, late));  // overwrite: not a fresh slot
-    EXPECT_EQ(buf.slots_in_use(), 2u);      // sender 2 got its own copy
+    EXPECT_FALSE(buf.deliver(2, 5, late));  // overwrite: not a fresh cell
+    EXPECT_EQ(buf.slots_in_use(), 1u);      // sender 2 got its own copy
     EXPECT_EQ(*buf.from(5, 2), late);
-    EXPECT_EQ(*buf.from(5, 1), cells[5]);
-    EXPECT_EQ(*buf.from(5, 3), cells[5]);
+    EXPECT_EQ(*buf.from(4, 2), one);
+    EXPECT_EQ(*buf.from(5, 1), zero);
+    EXPECT_EQ(*buf.from(5, 3), zero);
 
-    // Coin deltas weight the shared slot by its in-range rows: senders 1
-    // and 3 here, sender 2's private copy once.
+    // Coin deltas weight the selector by its in-range rows: senders 1 and
+    // 3 here, sender 2's private copy once.
     net::RoundTally tally;
     tally.rebuild(buf);
     const std::int64_t* all = tally.coin_delta_plane(MsgKind::Vote2, 0, true, 0, n);
@@ -567,6 +561,13 @@ TEST(DeliveryPlaneShared, SharedSlotIsCopiedBeforeAWrite) {
     const std::int64_t* just3 = tally.coin_delta_plane(MsgKind::Vote2, 0, true, 3, 4);
     EXPECT_EQ(just3[4], 1);
     EXPECT_EQ(just3[5], -1);
+    // The two-valued form answers for the selector alone, and declines
+    // once sender 2's dense copy is in range.
+    const auto two = tally.coin_delta_select(MsgKind::Vote2, 0, true, 3, 4);
+    ASSERT_TRUE(two.has_value());
+    EXPECT_EQ(two->delta[0], -1);
+    EXPECT_EQ(two->delta[1], 1);
+    EXPECT_FALSE(tally.coin_delta_select(MsgKind::Vote2, 0, true, 0, n).has_value());
     // No Byzantine coin reaches anyone: no plane is built (nullptr reads as
     // zero deltas). Honest senders only, and a kind whose cells carry no
     // coin sign.
@@ -581,11 +582,11 @@ struct PerPairCounts {
     std::uint64_t observations = 0;
 };
 
-/// Forwards every RoundControl call except deliver_rows_as,
-/// deliver_select_as and planes(). So both shared deliveries run the base
-/// class's per-pair deliver_as loop, and planes() returns the empty view
-/// (no byte planes, no send words), which leaves the adversary on the
-/// per-node observation calls. Both are the semantic spec.
+/// Forwards every RoundControl call except deliver_select_as and planes().
+/// So the selector delivery runs the base class's per-pair deliver_as
+/// loop, and planes() returns the empty view (no byte planes, no send
+/// words), which leaves the adversary on the per-node observation calls.
+/// Both are the semantic spec.
 class PerPairControl final : public net::RoundControl {
 public:
     PerPairControl(net::RoundControl& inner, PerPairCounts& counts)
@@ -767,52 +768,130 @@ sim::MvScenario prelude_scenario() {
     return s;
 }
 
-/// Near-quorum word inputs for prelude_scenario() that arm the prelude's
-/// boundary split (39 honest holders of the plurality word:
-/// 39 < n-t = 43 <= 39 + 6).
+/// The near-quorum word inputs (60% share one word, the rest distinct),
+/// which arm the prelude's boundary split: at n=64 that is 39 honest
+/// holders of the plurality word, 39 < n-t = 43 <= 39 + 6.
 std::vector<net::Word> armed_prelude_inputs(NodeId n) {
+    const auto share = static_cast<NodeId>((6 * static_cast<std::uint64_t>(n) + 9) / 10);
     std::vector<net::Word> inputs(n);
-    for (NodeId v = 0; v < n; ++v) inputs[v] = v < 39 ? 0xAAAA : 0x2000u + v;
+    for (NodeId v = 0; v < n; ++v) inputs[v] = v < share ? 0xAAAA : 0x2000u + v;
     return inputs;
+}
+
+/// Two blocks of n/2, which leave the boundary split unarmed.
+std::vector<net::Word> two_block_inputs(NodeId n) {
+    std::vector<net::Word> inputs(n);
+    for (NodeId v = 0; v < n; ++v) inputs[v] = v < n / 2 ? 0xAAAA : 0xBBBB;
+    return inputs;
+}
+
+/// One multi-valued trial on the per-node Turpin–Coan stack, built the way
+/// the mv runner builds it; `per_pair` routes the adversary through
+/// PerPairControl.
+PinnedTrial run_prelude_trial(const sim::MvScenario& s, const std::vector<net::Word>& inputs,
+                              std::uint64_t seed, bool per_pair) {
+    const sim::MvScenarioPlan plan = sim::validate(s);
+    const SeedTree seeds(seed);
+    const auto adversary = plan.adversary->make_adversary(s, plan.params, seeds);
+    net::EngineConfig cfg;
+    cfg.n = s.n;
+    cfg.budget = s.t;
+    cfg.max_rounds = plan.cap;
+    net::NodePool nodes;
+    core::arm_turpin_coan_nodes(plan.params, inputs, seeds, nodes);
+    return run_pinned(cfg, nullptr, std::move(nodes), *adversary, per_pair);
+}
+
+net::Word output_word(const PinnedTrial& trial, NodeId v) {
+    return static_cast<const core::TurpinCoanNode&>(*trial.nodes[v]).output_word();
 }
 
 TEST(DeliveryPlaneShared, TcPreludeRowsMatchPerPairDefault) {
     const sim::MvScenario s = prelude_scenario();
-    const sim::MvScenarioPlan plan = sim::validate(s);
-    // Two blocks of 32 leave the boundary split unarmed, so round 1 takes
-    // the per-sender broadcast form.
     for (const bool armed : {true, false}) {
-        std::vector<net::Word> inputs = armed_prelude_inputs(s.n);
-        if (!armed)
-            for (NodeId v = 0; v < s.n; ++v) inputs[v] = v < s.n / 2 ? 0xAAAA : 0xBBBB;
+        const std::vector<net::Word> inputs =
+            armed ? armed_prelude_inputs(s.n) : two_block_inputs(s.n);
         for (std::uint64_t seed = 1; seed <= 3; ++seed) {
             SCOPED_TRACE(std::string(armed ? "armed" : "unarmed") + " seed " +
                          std::to_string(seed));
-            PinnedTrial runs[2];
-            for (int per_pair = 0; per_pair < 2; ++per_pair) {
-                const SeedTree seeds(seed);
-                const auto adversary = plan.adversary->make_adversary(s, plan.params, seeds);
-                net::EngineConfig cfg;
-                cfg.n = s.n;
-                cfg.budget = s.t;
-                cfg.max_rounds = plan.cap;
-                net::NodePool nodes;
-                core::arm_turpin_coan_nodes(plan.params, inputs, seeds, nodes);
-                runs[per_pair] = run_pinned(cfg, nullptr, std::move(nodes), *adversary,
-                                            per_pair == 1);
-            }
-            expect_runs_eq(runs[0].run, runs[1].run);
+            const PinnedTrial direct = run_prelude_trial(s, inputs, seed, false);
+            const PinnedTrial spec = run_prelude_trial(s, inputs, seed, true);
+            expect_runs_eq(direct.run, spec.run);
             for (NodeId v = 0; v < s.n; ++v) {
-                if (!runs[0].run.honest[v]) continue;
-                const auto word = [&](int i) {
-                    return static_cast<const core::TurpinCoanNode&>(*runs[i].nodes[v])
-                        .output_word();
-                };
-                EXPECT_EQ(word(0), word(1)) << "node " << v;
+                if (!direct.run.honest[v]) continue;
+                EXPECT_EQ(output_word(direct, v), output_word(spec, v)) << "node " << v;
             }
-            EXPECT_GT(runs[1].deliver_as_calls, 0u);  // round 0 is per-receiver
-            EXPECT_GT(runs[0].run.metrics.byzantine_messages, 0u);
+            // Round 0 is pattern rows either way. Armed, round 1 pushes
+            // through one selector, whose per-pair form is deliver_as;
+            // unarmed, it broadcasts per sender.
+            if (armed)
+                EXPECT_GT(spec.deliver_as_calls, 0u);
+            else
+                EXPECT_EQ(spec.deliver_as_calls, 0u);
+            EXPECT_GT(direct.run.metrics.byzantine_messages, 0u);
         }
+    }
+}
+
+/// FNV-1a over the honest nodes' (id, output word) pairs.
+std::uint64_t output_digest(const PinnedTrial& trial) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&](std::uint64_t x) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (x >> (8 * b)) & 0xFF;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (NodeId v = 0; v < trial.run.honest.size(); ++v) {
+        if (!trial.run.honest[v]) continue;
+        mix(v);
+        mix(output_word(trial, v));
+    }
+    return h;
+}
+
+TEST(DeliveryPlaneShared, TcPreludeOutcomesArePinned) {
+    // Committed outcomes of prelude + worst case at n=64 (t=21, q=12) and
+    // n=520 (t=173, q=t): rounds, Byzantine messages, corruptions and a
+    // digest of the honest output words. They were recorded under the
+    // earlier round-0 forgery (receiver-unique decoys on per-receiver
+    // rows), which the pattern-row forgery must reproduce exactly.
+    struct Pin {
+        const char* inputs;
+        NodeId n;
+        std::uint64_t seed;
+        Round rounds;
+        std::uint64_t byzantine_messages;
+        Count corruptions;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"near-quorum", 64, 1, 16, 1152, 12, 0x0037593b83fc05f5ULL},
+        {"near-quorum", 64, 2, 18, 1152, 12, 0x304fd7084ec4c565ULL},
+        {"near-quorum", 64, 3, 16, 1152, 12, 0x6d76985bb9646a39ULL},
+        {"two-blocks", 64, 1, 6, 768, 6, 0xb52c1445f9175ce4ULL},
+        {"two-blocks", 64, 2, 6, 768, 6, 0xb52c1445f9175ce4ULL},
+        {"two-blocks", 64, 3, 6, 768, 6, 0xb52c1445f9175ce4ULL},
+        {"near-quorum", 520, 1, 142, 134680, 173, 0xd168b78b0748ce85ULL},
+        {"near-quorum", 520, 2, 146, 134160, 172, 0x0cacb4a317ca37beULL},
+        {"near-quorum", 520, 3, 148, 134680, 173, 0xc62a8da56ffc287cULL},
+    };
+    for (const Pin& pin : pins) {
+        sim::MvScenario s = prelude_scenario();
+        if (pin.n != s.n) {
+            s.n = pin.n;
+            s.t = (pin.n - 1) / 3;
+            s.q.reset();
+        }
+        const std::string kind = pin.inputs;
+        const std::vector<net::Word> inputs =
+            kind == "two-blocks" ? two_block_inputs(s.n) : armed_prelude_inputs(s.n);
+        SCOPED_TRACE(kind + " n=" + std::to_string(s.n) + " seed " + std::to_string(pin.seed));
+        const PinnedTrial trial = run_prelude_trial(s, inputs, pin.seed, false);
+        EXPECT_EQ(trial.run.rounds, pin.rounds);
+        EXPECT_EQ(trial.run.metrics.byzantine_messages, pin.byzantine_messages);
+        EXPECT_EQ(trial.run.metrics.corruptions, pin.corruptions);
+        EXPECT_EQ(output_digest(trial), pin.digest);
     }
 }
 
@@ -1758,11 +1837,13 @@ TEST(WordSend, WordsMatchThePackPassOnTheSameDeliveries) {
                         rowless.push_back(u);
                     }
                 }
-                if (rng.bernoulli(0.7)) {  // one shared slot, as the coin split sends it
-                    std::vector<Message> cells(n, forged);
-                    for (Message& c : cells) c.coin = rng.bernoulli(0.5) ? 1 : -1;
-                    twin.words.deliver_shared(rowless, cells);
-                    twin.per_node.deliver_shared(rowless, cells);
+                if (rng.bernoulli(0.7)) {  // one shared selector, as the coin split sends it
+                    std::vector<std::uint64_t> select(nw);
+                    for (auto& word : select) word = rng();
+                    Message other = forged;
+                    other.coin = 1;
+                    twin.words.deliver_select(rowless, forged, other, select);
+                    twin.per_node.deliver_select(rowless, forged, other, select);
                 }
 
                 net::RoundTally a, b;

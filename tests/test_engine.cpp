@@ -148,25 +148,6 @@ TEST(Engine, DeliverAsRequiresCorruptedSender) {
     eng.run();
 }
 
-TEST(Engine, DeliverRowsAsChecksBeforeDelivering) {
-    ScriptAdversary adv([](RoundControl& ctl) {
-        if (ctl.round() != 0) return;
-        ctl.corrupt(0);
-        Message m;
-        m.kind = MsgKind::Vote1;
-        const std::vector<Message> short_cells(2, m);
-        const std::vector<Message> cells(3, m);
-        const std::vector<NodeId> mixed = {0, 1};  // 1 is still honest
-        const std::vector<NodeId> byz = {0};
-        EXPECT_THROW(ctl.deliver_rows_as(byz, short_cells), ContractViolation);
-        EXPECT_THROW(ctl.deliver_rows_as(mixed, cells), ContractViolation);
-        ctl.deliver_rows_as(byz, cells);
-    });
-    Engine eng({3, 1, 1, false}, make_echo_nodes(3, 1, nullptr), adv);
-    // The rejected calls delivered nothing, not even for the valid sender.
-    EXPECT_EQ(eng.run().metrics.byzantine_messages, 3u);
-}
-
 TEST(Engine, DeliverSelectAsChecksBeforeDelivering) {
     // n = 70: the selector plane is two words, the second one partial.
     ScriptAdversary adv([](RoundControl& ctl) {
